@@ -61,13 +61,13 @@ using namespace mg;
 /// Rewrites a broadcast schedule's message ids to 0 (one-message universe,
 /// one bitset word per node) — same convention as scale_bench.
 model::Schedule single_message(const model::Schedule& schedule) {
-  model::Schedule out;
+  model::ScheduleBuilder out;
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Transmission& tx : schedule.round(t)) {
-      out.add(t, {0, tx.sender, tx.receivers});
+    for (const model::Tx& tx : schedule.round(t)) {
+      out.add(t, 0, tx.sender, schedule.receivers(tx));
     }
   }
-  return out;
+  return out.build();
 }
 
 /// A random tree edge {v, parent(v)} whose removal keeps `g` connected, or

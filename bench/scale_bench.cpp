@@ -53,7 +53,6 @@
 #include "gossip/solve.h"
 #include "graph/center.h"
 #include "graph/generators.h"
-#include "model/compiled.h"
 #include "obs/json.h"
 #include "sim/network_sim.h"
 #include "support/bitset.h"
@@ -86,13 +85,13 @@ double peak_rss_mb() {
 /// word per node), so the id is rewritten to 0.  Round structure, senders
 /// and receiver sets are untouched.
 model::Schedule single_message(const model::Schedule& schedule) {
-  model::Schedule out;
+  model::ScheduleBuilder out;
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Transmission& tx : schedule.round(t)) {
-      out.add(t, {0, tx.sender, tx.receivers});
+    for (const model::Tx& tx : schedule.round(t)) {
+      out.add(t, 0, tx.sender, schedule.receivers(tx));
     }
   }
-  return out;
+  return out.build();
 }
 
 struct FamilyRow {
@@ -145,8 +144,6 @@ FamilyRow run_family_row(const std::string& family,
   watch.restart();
   const model::Schedule schedule =
       single_message(gossip::multicast_broadcast(g, t.root()));
-  const model::CompiledSchedule compiled =
-      model::CompiledSchedule::compile(schedule);
   row.solve_ms = watch.millis();
 
   std::vector<DynamicBitset> holds(g.vertex_count(), DynamicBitset(1));
@@ -155,7 +152,7 @@ FamilyRow run_family_row(const std::string& family,
   options.keep_final_holds = false;  // n bitsets dwarf the run at 1e6
   watch.restart();
   const sim::SimResult result =
-      sim::simulate_compiled(g, compiled, holds, options);
+      sim::simulate_from_holds(g, schedule, holds, options);
   row.sim_ms = watch.millis();
 
   // Broadcast from the root completes in exactly ecc(root) = height
@@ -307,12 +304,17 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
 
   // --- Small-n full gossip: Theorem 1 at the n^2 wall ------------------
   // Full gossip needs n(n-1) deliveries no matter the schedule, so its
-  // rows stop where quadratic memory starts to bite; the point here is
-  // that ConcurrentUpDown still validates and meets n + r end to end.
+  // rows stop where quadratic memory starts to bite: at n = 8192 the
+  // schedule alone is ~1 GB (16 B per tuple + 4 B per delivery; see
+  // docs/SCALING.md).  The point here is that ConcurrentUpDown still
+  // validates and meets n + r end to end.
   w.key("gossip_rows").begin_array();
   {
     std::vector<graph::Vertex> sizes{512};
-    if (!quick) sizes.push_back(2048);
+    if (!quick) {
+      sizes.push_back(2048);
+      sizes.push_back(8192);
+    }
     for (const graph::Vertex n : sizes) {
       Rng rng(seed + 4);
       Stopwatch watch;

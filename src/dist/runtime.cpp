@@ -131,6 +131,10 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   MailboxBus bus(n, im.options.seed, max_delay);
   RunReport report;
   report.horizon = horizon;
+  // The emergent and repair schedules, captured as transmissions hit the
+  // wire.
+  model::ScheduleBuilder emergent;
+  model::ScheduleBuilder repair;
 
   std::vector<Outbox> out(n);
   // (receiver, delay, envelope) triples the route phase posts concurrently,
@@ -153,8 +157,9 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   // Applies the fabric's verdict to actor v's data transmission at absolute
   // round `abs_t` and, when it survives, captures events/schedule rows and
   // stages the envelopes.  Serial (called in actor-id order).
-  auto capture_data = [&](Vertex v, std::size_t abs_t, model::Schedule& into,
-                          std::size_t local_t, bool main_phase) {
+  auto capture_data = [&](Vertex v, std::size_t abs_t,
+                          model::ScheduleBuilder& into, std::size_t local_t,
+                          bool main_phase) {
     if (!out[v].data.has_value()) return;
     const model::Transmission& tx = *out[v].data;
     const Vertex first_receiver =
@@ -224,7 +229,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
           t, bus.inbox(static_cast<Vertex>(v)));
     });
     for (Vertex v = 0; v < n; ++v) {
-      capture_data(v, t, report.emergent, t, /*main_phase=*/true);
+      capture_data(v, t, emergent, t, /*main_phase=*/true);
       out[v] = Outbox{};
     }
     route_wire();
@@ -237,7 +242,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       im.actors[v].absorb(horizon + a, bus.inbox(static_cast<Vertex>(v)));
     });
   }
-  report.emergent.trim();
+  report.emergent = emergent.build();
 
   report.main_holds.reserve(n);
   for (const ProcessorActor& actor : im.actors) {
@@ -337,7 +342,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
                      : Outbox{};
       });
       for (Vertex v = 0; v < n; ++v) {
-        capture_data(v, abs_t, report.repair, q, /*main_phase=*/false);
+        capture_data(v, abs_t, repair, q, /*main_phase=*/false);
         out[v] = Outbox{};
       }
       ++report.recovery_rounds;
@@ -350,7 +355,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
         im.actors[v].learn(bus.inbox(static_cast<Vertex>(v)));
       });
     }
-    report.repair.trim();
+    report.repair = repair.build();
   }
 
   // ---- final accounting --------------------------------------------------
@@ -468,25 +473,17 @@ VerifyReport verify_against_schedule(const model::Schedule& central,
   report.n_plus_r_ok =
       emergent.round_count() == static_cast<std::size_t>(n) + radius;
 
-  const auto canonical = [](const model::Round& round) {
-    std::vector<model::Transmission> txs(round.begin(), round.end());
-    std::sort(txs.begin(), txs.end(),
-              [](const model::Transmission& a, const model::Transmission& b) {
-                return a.sender < b.sender;
-              });
-    return txs;
-  };
   const std::size_t rounds =
       std::max(central.round_count(), emergent.round_count());
   for (std::size_t t = 0; t < rounds; ++t) {
-    const auto a = t < central.round_count() ? canonical(central.round(t))
-                                             : std::vector<model::Transmission>{};
-    const auto b = t < emergent.round_count() ? canonical(emergent.round(t))
-                                              : std::vector<model::Transmission>{};
+    const std::vector<model::Tx> a = model::canonical_round(central, t);
+    const std::vector<model::Tx> b = model::canonical_round(emergent, t);
     bool equal = a.size() == b.size();
     for (std::size_t i = 0; equal && i < a.size(); ++i) {
+      const auto ra = central.receivers(a[i]);
+      const auto rb = emergent.receivers(b[i]);
       equal = a[i].sender == b[i].sender && a[i].message == b[i].message &&
-              a[i].receivers == b[i].receivers;
+              std::equal(ra.begin(), ra.end(), rb.begin(), rb.end());
     }
     if (!equal) {
       report.first_mismatch_round = t;
@@ -494,19 +491,21 @@ VerifyReport verify_against_schedule(const model::Schedule& central,
       detail << "round " << t << ": central has " << a.size()
              << " transmissions, emergent has " << b.size();
       for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
-        const auto render = [](const std::vector<model::Transmission>& txs,
+        const auto render = [](const model::Schedule& schedule,
+                               const std::vector<model::Tx>& txs,
                                std::size_t j) -> std::string {
           if (j >= txs.size()) return "(none)";
           std::ostringstream s;
           s << "msg " << txs[j].message << ": " << txs[j].sender << " -> {";
-          for (std::size_t k = 0; k < txs[j].receivers.size(); ++k) {
-            s << (k > 0 ? ", " : "") << txs[j].receivers[k];
+          const auto receivers = schedule.receivers(txs[j]);
+          for (std::size_t k = 0; k < receivers.size(); ++k) {
+            s << (k > 0 ? ", " : "") << receivers[k];
           }
           s << "}";
           return s.str();
         };
-        const std::string ca = render(a, i);
-        const std::string cb = render(b, i);
+        const std::string ca = render(central, a, i);
+        const std::string cb = render(emergent, b, i);
         if (ca != cb) {
           detail << "\n  central:  " << ca << "\n  emergent: " << cb;
         }

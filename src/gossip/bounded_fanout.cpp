@@ -27,8 +27,8 @@ model::Schedule bounded_fanout_gossip(const Instance& instance,
   const auto& tree = instance.tree();
   const auto& labels = instance.labels();
   const Vertex n = tree.vertex_count();
-  model::Schedule schedule;
-  if (n <= 1) return schedule;
+  model::ScheduleBuilder schedule;
+  if (n <= 1) return schedule.build();
 
   // ---- Fixed up phase (Simple's): the root receives message m at time m.
   for (Vertex v = 0; v < n; ++v) {
@@ -37,7 +37,7 @@ model::Schedule bounded_fanout_gossip(const Instance& instance,
     const Label j = labels.subtree_end(v);
     const std::uint32_t k = tree.level(v);
     for (Label m = i; m <= j; ++m) {
-      schedule.add(m - k, {m, v, {tree.parent(v)}});
+      schedule.add(m - k, m, v, {tree.parent(v)});
     }
   }
 
@@ -116,7 +116,7 @@ model::Schedule bounded_fanout_gossip(const Instance& instance,
           --outstanding;
           arrivals.emplace_back(c, m);
         }
-        schedule.add(t, {m, v, receivers});
+        schedule.add(t, m, v, receivers);
         break;
       }
     }
@@ -124,8 +124,7 @@ model::Schedule bounded_fanout_gossip(const Instance& instance,
     ++t;
   }
 
-  schedule.trim();
-  return schedule;
+  return schedule.build();
 }
 
 }  // namespace mg::gossip

@@ -13,7 +13,7 @@ model::Schedule gather_schedule(const Instance& instance) {
   const auto& tree = instance.tree();
   const auto& labels = instance.labels();
   const graph::Vertex n = tree.vertex_count();
-  model::Schedule schedule;
+  model::ScheduleBuilder builder;
   // Propagate-Up's delivery discipline without the lookahead refinement:
   // the vertex at level k relays subtree message m at time m - k, so the
   // root receives message m exactly at time m (m = 1..n-1).
@@ -23,10 +23,10 @@ model::Schedule gather_schedule(const Instance& instance) {
     const Label j = labels.subtree_end(v);
     const std::uint32_t k = tree.level(v);
     for (Label m = i; m <= j; ++m) {
-      schedule.add(m - k, {m, v, {tree.parent(v)}});
+      builder.add(m - k, m, v, {tree.parent(v)});
     }
   }
-  schedule.trim();
+  model::Schedule schedule = builder.build();
   MG_ENSURES(n <= 1 || schedule.total_time() == n - 1u);
   return schedule;
 }
@@ -56,7 +56,7 @@ std::vector<graph::Vertex> scatter_order(const Instance& instance) {
 model::Schedule scatter_schedule(const Instance& instance) {
   const auto& tree = instance.tree();
   const auto& labels = instance.labels();
-  model::Schedule schedule;
+  model::ScheduleBuilder builder;
   const auto order = scatter_order(instance);
   // Destination d's message (id = label(d)) is emitted by the root at
   // round t and relayed immediately: it crosses the ancestor at level l
@@ -71,10 +71,10 @@ model::Schedule scatter_schedule(const Instance& instance) {
     while (!tree.is_root(path.back())) path.push_back(tree.parent(path.back()));
     std::reverse(path.begin(), path.end());  // root first
     for (std::size_t hop = 0; hop + 1 < path.size(); ++hop) {
-      schedule.add(t + hop, {message, path[hop], {path[hop + 1]}});
+      builder.add(t + hop, message, path[hop], {path[hop + 1]});
     }
   }
-  schedule.trim();
+  model::Schedule schedule = builder.build();
   MG_ENSURES(schedule.total_time() == scatter_time(instance));
   return schedule;
 }

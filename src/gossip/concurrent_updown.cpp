@@ -1,6 +1,7 @@
 #include "gossip/concurrent_updown.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "obs/span.h"
@@ -12,179 +13,216 @@ namespace {
 
 using model::Message;
 using model::Schedule;
-using model::Transmission;
+using model::ScheduleBuilder;
 using tree::Label;
 using tree::Vertex;
 
-/// One sender-side event; receivers stay sorted for Schedule::add.
-struct SendEvent {
-  std::size_t time = 0;
-  Message message = 0;
-  Vertex sender = 0;
-  std::vector<Vertex> receivers;
+/// Which halves of the algorithm to synthesize.
+struct Phases {
+  bool up = true;
+  bool down = true;
+  bool lookahead = true;  ///< step (U3)
 };
 
-std::vector<SendEvent> up_events(const Instance& instance,
-                                 const ConcurrentUpDownOptions& options) {
-  const auto& tree = instance.tree();
-  const auto& labels = instance.labels();
-  std::vector<SendEvent> events;
-  for (Vertex v = 0; v < tree.vertex_count(); ++v) {
-    if (tree.is_root(v)) continue;
-    const Label i = labels.label(v);
-    const Label j = labels.subtree_end(v);
-    const std::uint32_t k = tree.level(v);
-    const std::uint32_t w =
-        options.lookahead_at_time_zero ? labels.lip_count(v) : 0;
-    MG_ASSERT(i >= k);  // DFS preorder label is at least the depth
-    // (U3): the lip-message leaves for the parent at time 0.
-    if (w == 1) {
-      events.push_back({0, i, v, {tree.parent(v)}});
-    }
-    // (U4): rip-messages i+w..j leave sequentially at times i-k+w..j-k.
-    for (Label m = i + w; m <= j; ++m) {
-      events.push_back({m - k, m, v, {tree.parent(v)}});
-    }
-  }
-  return events;
-}
+/// `skip` value of a down send that reaches every child.
+constexpr std::uint32_t kAllChildren = 0xffffffffU;
 
-std::vector<SendEvent> down_events(const Instance& instance) {
+/// "No message" in the per-vertex state below.
+constexpr Message kNone = 0xffffffffU;
+
+/// What one vertex needs to decide its sends: the paper's i, j, k and w,
+/// plus its tree neighborhood.
+struct VertexRule {
+  Label i = 0;
+  Label j = 0;
+  std::uint32_t k = 0;
+  std::uint32_t w = 0;
+  Vertex parent = graph::kNoVertex;
+  std::uint32_t children = 0;
+  std::size_t first_down = 0;  ///< time of the (D3) send of message i
+  bool up = false;             ///< sends to the parent
+  bool down = false;           ///< sends to the children
+};
+
+/// Enumerates every send of the schedule once, round by round and inside a
+/// round by sender id, as emit(t, message, sender, to_parent, to_children,
+/// skip): the tuple goes to the parent when `to_parent`, and to every child
+/// of the sender except the one at index `skip` (kAllChildren: all of them)
+/// when `to_children`.  An up and a down send of one vertex at one time are
+/// one call; by Theorem 1 they carry the same message, and two different
+/// messages in one send slot fail an invariant.
+///
+/// Up and (D3) send times are closed-form in (i, j, k).  The (D2) relays
+/// replay the parent's down sends of the previous round, as each processor
+/// does online (§4), so the state kept is O(n): per vertex its last down
+/// send, the two arrivals (D2) holds back, and the (D3) owner cursor.
+template <typename Emit>
+void for_each_send(const Instance& instance, const Phases& phases,
+                   Emit&& emit) {
   const auto& tree = instance.tree();
   const auto& labels = instance.labels();
   const Vertex n = tree.vertex_count();
-  std::vector<SendEvent> events;
-  // (D1) arrivals from the parent, filled in top-down while emitting the
-  // parents' (D2)/(D3) sends; preorder guarantees parents are processed
-  // before their children.
-  std::vector<std::vector<std::pair<std::size_t, Message>>> arrivals(n);
 
-  auto emit = [&](std::size_t t, Message m, Vertex sender,
-                  std::vector<Vertex> receivers) {
-    for (Vertex r : receivers) arrivals[r].emplace_back(t + 1, m);
-    events.push_back({t, m, sender, std::move(receivers)});
-  };
-
-  for (Vertex v : tree.preorder()) {
-    if (tree.is_leaf(v)) continue;
-    const Label i = labels.label(v);
-    const Label j = labels.subtree_end(v);
-    const std::uint32_t k = tree.level(v);
-    const auto kids = tree.children(v);
-    const std::vector<Vertex> children(kids.begin(), kids.end());
-
-    // (D3): b-messages i..j go down at times i-k..j-k in label order, each
-    // skipping the child that already owns it; message i goes to all
-    // children, delayed to time j-k+1 when i == k (it would otherwise
-    // collide with the first child's (U1) lookahead receive at time 1).
-    for (Label m = i; m <= j; ++m) {
-      std::vector<Vertex> receivers;
-      if (m == i) {
-        receivers = children;
-      } else {
-        const Vertex owner = labels.child_owning(v, m);
-        receivers.reserve(children.size() - 1);
-        for (Vertex c : children) {
-          if (c != owner) receivers.push_back(c);
-        }
-        if (receivers.empty()) continue;
-      }
-      const std::size_t t = (m == i && i == k)
-                                ? static_cast<std::size_t>(j - k + 1)
-                                : static_cast<std::size_t>(m - k);
-      emit(t, m, v, std::move(receivers));
-    }
-
-    // (D2): o-messages relayed to all children the round they arrive from
-    // the parent, except arrivals at times i-k and i-k+1, which wait until
-    // j-k+1 and j-k+2 (the send slots i-k..j-k are taken by (D3)).
-    if (!tree.is_root(v)) {
-      auto relayed = arrivals[v];  // copy: emit() grows arrivals of children
-      std::sort(relayed.begin(), relayed.end());
-      for (const auto& [t_arrive, m] : relayed) {
-        MG_ASSERT_MSG(!labels.is_body(v, m),
-                      "parent never sends v its own subtree's messages");
-        std::size_t t_send = t_arrive;
-        if (t_arrive == static_cast<std::size_t>(i - k)) {
-          t_send = j - k + 1;
-        } else if (t_arrive == static_cast<std::size_t>(i - k) + 1) {
-          t_send = static_cast<std::size_t>(j - k) + 2;
-        }
-        emit(t_send, m, v, children);
-      }
-    }
+  std::vector<VertexRule> rules(n);
+  std::size_t horizon = 0;  // one past the last closed-form send time
+  for (Vertex v = 0; v < n; ++v) {
+    VertexRule& r = rules[v];
+    r.i = labels.label(v);
+    r.j = labels.subtree_end(v);
+    r.k = tree.level(v);
+    MG_ASSERT(r.i >= r.k);  // DFS preorder label is at least the depth
+    r.children = static_cast<std::uint32_t>(tree.children(v).size());
+    r.up = phases.up && !tree.is_root(v);
+    r.down = phases.down && r.children > 0;
+    r.parent = tree.is_root(v) ? graph::kNoVertex : tree.parent(v);
+    r.w = r.up && phases.lookahead ? labels.lip_count(v) : 0;
+    // (D3) message i goes at i - k, or at j - k + 1 when i == k (it would
+    // otherwise collide with the first child's lookahead receive at 1).
+    r.first_down = r.i == r.k ? r.j - r.k + 1 : r.i - r.k;
+    horizon = std::max<std::size_t>(horizon, r.j - r.k + 3);
   }
-  return events;
+
+  std::vector<Message> sent_down(n, kNone);  // down sends of round t - 1
+  std::vector<Message> sending_down(n, kNone);
+  std::vector<Message> held_back(2 * static_cast<std::size_t>(n), kNone);
+  std::vector<std::uint32_t> owner(n, 0);  // child owning the (D3) message
+  bool any_down = true;
+  for (std::size_t t = 0; t < horizon || any_down; ++t) {
+    any_down = false;
+    for (Vertex v = 0; v < n; ++v) {
+      const VertexRule& r = rules[v];
+      sending_down[v] = kNone;
+      if (!r.up && !r.down) continue;
+      const std::size_t m_now = t + r.k;  // the subtree message of slot t
+
+      // (U3)/(U4): message m leaves for the parent at time m - k, the
+      // lip-message i at time 0.
+      Message up = kNone;
+      if (r.up) {
+        if (r.w == 1 && t == 0) {
+          up = r.i;
+        } else if (m_now >= r.i + r.w && m_now <= r.j) {
+          up = static_cast<Message>(m_now);
+        }
+      }
+
+      Message down = kNone;
+      std::uint32_t skip = kAllChildren;
+      const auto send_down = [&](Message m) {
+        MG_ASSERT_MSG(down == kNone,
+                      "up/down schedules send different messages at one time");
+        down = m;
+      };
+      if (r.down) {
+        // (D3): b-message m goes to every child but its owner at m - k.  A
+        // vertex with a single child owns no (D3) send but message i's.
+        if (t == r.first_down) {
+          send_down(r.i);
+        } else if (r.children > 1 && m_now > r.i && m_now <= r.j) {
+          const auto kids = tree.children(v);
+          while (labels.subtree_end(kids[owner[v]]) < m_now) ++owner[v];
+          send_down(static_cast<Message>(m_now));
+          skip = owner[v];
+        }
+        // (D2): o-messages are relayed to all children the round they
+        // arrive from the parent, except arrivals at times i-k and i-k+1,
+        // which wait until j-k+1 and j-k+2 (the send slots i-k..j-k are
+        // taken by (D3)).
+        if (r.parent != graph::kNoVertex) {
+          Message* held = &held_back[2 * static_cast<std::size_t>(v)];
+          const Message arrived = sent_down[r.parent];
+          if (arrived != kNone && (arrived < r.i || arrived > r.j)) {
+            if (t == r.i - r.k) {
+              held[0] = arrived;
+            } else if (t == r.i - r.k + 1) {
+              held[1] = arrived;
+            } else {
+              send_down(arrived);
+            }
+          }
+          for (std::size_t slot = 0; slot < 2; ++slot) {
+            if (t == r.j - r.k + 1 + slot && held[slot] != kNone) {
+              send_down(std::exchange(held[slot], kNone));
+            }
+          }
+        }
+      }
+
+      if (up != kNone && down != kNone) {
+        MG_ASSERT_MSG(up == down,
+                      "up/down schedules send different messages at one time");
+        emit(t, up, v, true, true, skip);
+      } else if (up != kNone) {
+        emit(t, up, v, true, false, kAllChildren);
+      } else if (down != kNone) {
+        emit(t, down, v, false, true, skip);
+      }
+      if (down != kNone) {
+        sending_down[v] = down;
+        any_down = true;
+      }
+    }
+    std::swap(sent_down, sending_down);
+  }
 }
 
-Schedule merge_events(std::vector<SendEvent> up, std::vector<SendEvent> down) {
-  std::vector<SendEvent> all;
-  all.reserve(up.size() + down.size());
-  std::move(up.begin(), up.end(), std::back_inserter(all));
-  std::move(down.begin(), down.end(), std::back_inserter(all));
-  std::sort(all.begin(), all.end(), [](const SendEvent& a, const SendEvent& b) {
-    return std::tie(a.time, a.sender, a.message) <
-           std::tie(b.time, b.sender, b.message);
-  });
-
-  Schedule schedule;
-  for (std::size_t idx = 0; idx < all.size();) {
-    SendEvent& event = all[idx];
-    std::vector<Vertex> receivers = std::move(event.receivers);
-    std::size_t next = idx + 1;
-    while (next < all.size() && all[next].time == event.time &&
-           all[next].sender == event.sender) {
-      // Theorem 1: overlapping up/down sends always carry the same message,
-      // so they fuse into one multicast (parent + child subset).
-      MG_ASSERT_MSG(all[next].message == event.message,
-                    "up/down schedules send different messages at one time");
-      receivers.insert(receivers.end(), all[next].receivers.begin(),
-                       all[next].receivers.end());
-      ++next;
-    }
-    std::sort(receivers.begin(), receivers.end());
-    receivers.erase(std::unique(receivers.begin(), receivers.end()),
-                    receivers.end());
-    schedule.add(event.time,
-                 Transmission{event.message, event.sender, std::move(receivers)});
-    idx = next;
-  }
-  schedule.trim();
-  return schedule;
+/// Two passes over the sends: count them per round, then write each into
+/// its slot of the exact-size arrays, front to back.
+Schedule synthesize(const Instance& instance, const Phases& phases) {
+  const auto& tree = instance.tree();
+  ScheduleBuilder builder;
+  for_each_send(instance, phases,
+                [&](std::size_t t, Message, Vertex v, bool to_parent,
+                    bool to_children, std::uint32_t skip) {
+                  std::size_t fanout = to_parent ? 1 : 0;
+                  if (to_children) {
+                    fanout += tree.children(v).size() -
+                              (skip == kAllChildren ? 0 : 1);
+                  }
+                  builder.count(t, fanout);
+                });
+  builder.allocate();
+  std::vector<Vertex> receivers;
+  for_each_send(instance, phases,
+                [&](std::size_t t, Message m, Vertex v, bool to_parent,
+                    bool to_children, std::uint32_t skip) {
+                  if (!to_parent && skip == kAllChildren) {
+                    builder.add(t, m, v, tree.children(v));  // (D2), (D3) i
+                    return;
+                  }
+                  receivers.clear();
+                  if (to_children) {
+                    const auto kids = tree.children(v);
+                    for (std::uint32_t c = 0; c < kids.size(); ++c) {
+                      if (c != skip) receivers.push_back(kids[c]);
+                    }
+                  }
+                  if (to_parent) {
+                    const Vertex parent = tree.parent(v);
+                    receivers.insert(std::upper_bound(receivers.begin(),
+                                                      receivers.end(), parent),
+                                     parent);
+                  }
+                  builder.add(t, m, v, receivers);
+                });
+  return builder.build();
 }
 
 }  // namespace
 
 Schedule propagate_up(const Instance& instance,
                       const ConcurrentUpDownOptions& options) {
-  Schedule schedule;
-  for (auto& event : up_events(instance, options)) {
-    schedule.add(event.time, Transmission{event.message, event.sender,
-                                          std::move(event.receivers)});
-  }
-  schedule.trim();
-  return schedule;
+  return synthesize(instance, {true, false, options.lookahead_at_time_zero});
 }
 
 Schedule propagate_down(const Instance& instance) {
-  Schedule schedule;
-  auto events = down_events(instance);
-  std::sort(events.begin(), events.end(),
-            [](const SendEvent& a, const SendEvent& b) {
-              return std::tie(a.time, a.sender) < std::tie(b.time, b.sender);
-            });
-  for (auto& event : events) {
-    schedule.add(event.time, Transmission{event.message, event.sender,
-                                          std::move(event.receivers)});
-  }
-  schedule.trim();
-  return schedule;
+  return synthesize(instance, {false, true, true});
 }
 
 Schedule concurrent_updown(const Instance& instance,
                            const ConcurrentUpDownOptions& options) {
   MG_OBS_SPAN(algo_span, "gossip.concurrent_updown");
-  return merge_events(up_events(instance, options), down_events(instance));
+  return synthesize(instance, {true, true, options.lookahead_at_time_zero});
 }
 
 }  // namespace mg::gossip

@@ -14,17 +14,17 @@ model::Schedule rotation_schedule(const graph::Graph& g,
                    "circuit uses a non-edge");
   }
 
-  model::Schedule schedule;
+  model::ScheduleBuilder schedule;
   // Round t: position p forwards the message that originated at position
   // (p - t) mod n to position p + 1.  After n - 1 rounds everyone has all.
   for (std::size_t t = 0; t + 1 < n; ++t) {
     for (std::size_t p = 0; p < n; ++p) {
       const std::size_t source_pos = (p + n - t % n) % n;
-      schedule.add(t, {circuit[source_pos], circuit[p],
-                       {circuit[(p + 1) % n]}});
+      schedule.add(t, circuit[source_pos], circuit[p],
+                   {circuit[(p + 1) % n]});
     }
   }
-  return schedule;
+  return schedule.build();
 }
 
 std::optional<model::Schedule> hamiltonian_gossip(const graph::Graph& g,

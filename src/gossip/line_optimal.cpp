@@ -31,7 +31,7 @@ struct LineMap {
 model::Schedule line_optimal_gossip(std::uint32_t m) {
   MG_EXPECTS(m >= 1);
   const LineMap line{m};
-  Schedule schedule;
+  model::ScheduleBuilder schedule;
 
   // Collected as (time, message, sender, receiver) unicasts; same-(time,
   // sender) entries merge into one multicast at the end (they always carry
@@ -127,23 +127,22 @@ model::Schedule line_optimal_gossip(std::uint32_t m) {
       receivers.push_back(sends[next].receiver);
       ++next;
     }
-    schedule.add(head.time,
-                 {head.message, head.sender, std::move(receivers)});
+    schedule.add(head.time, head.message, head.sender, receivers);
     idx = next;
   }
-  schedule.trim();
-  MG_ENSURES(schedule.total_time() == line_optimal_time(m));
-  return schedule;
+  model::Schedule built = schedule.build();
+  MG_ENSURES(built.total_time() == line_optimal_time(m));
+  return built;
 }
 
 model::Schedule even_line_gossip(std::uint32_t m) {
   MG_EXPECTS(m >= 1);
   const graph::Vertex n = 2 * m;
-  Schedule schedule;
+  model::ScheduleBuilder schedule;
   if (m == 1) {  // two processors: one simultaneous exchange
-    schedule.add(0, {0, 0, {1}});
-    schedule.add(0, {1, 1, {0}});
-    return schedule;
+    schedule.add(0, 0, 0, {1});
+    schedule.add(0, 1, 1, {0});
+    return schedule.build();
   }
 
   // Indexing: left arm L_q = c1 - q, right arm R_q = c2 + q (q = 1..m-1),
@@ -297,11 +296,10 @@ model::Schedule even_line_gossip(std::uint32_t m) {
       receivers.push_back(all[next].receiver);
       ++next;
     }
-    schedule.add(head.time, {head.message, head.sender, std::move(receivers)});
+    schedule.add(head.time, head.message, head.sender, receivers);
     idx = next;
   }
-  schedule.trim();
-  return schedule;
+  return schedule.build();
 }
 
 }  // namespace mg::gossip

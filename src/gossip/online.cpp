@@ -115,8 +115,8 @@ std::optional<Transmission> OnlineProcessor::send_at(std::size_t t) {
 model::Schedule run_online(const Instance& instance) {
   const auto& tree = instance.tree();
   const graph::Vertex n = tree.vertex_count();
-  model::Schedule schedule;
-  if (n <= 1) return schedule;
+  model::ScheduleBuilder schedule;
+  if (n <= 1) return schedule.build();
 
   std::vector<OnlineProcessor> procs;
   procs.reserve(n);
@@ -138,11 +138,10 @@ model::Schedule run_online(const Instance& instance) {
         const bool from_parent = tree.parent(r) == v;
         in_flight.emplace_back(r, tx->message, from_parent);
       }
-      schedule.add(t, std::move(*tx));
+      schedule.add(t, *tx);
     }
   }
-  schedule.trim();
-  return schedule;
+  return schedule.build();
 }
 
 }  // namespace mg::gossip

@@ -146,7 +146,7 @@ class Searcher {
   }
 
   model::Schedule build_schedule() const {
-    model::Schedule schedule;
+    model::ScheduleBuilder schedule;
     for (std::size_t t = 0; t < history_.size(); ++t) {
       // Group the round's receives by sender into multicasts.
       std::vector<Receive> moves = history_[t];
@@ -164,11 +164,10 @@ class Searcher {
           receivers.push_back(moves[idx].receiver);
           ++idx;
         }
-        schedule.add(t, {message, sender, std::move(receivers)});
+        schedule.add(t, message, sender, receivers);
       }
     }
-    schedule.trim();
-    return schedule;
+    return schedule.build();
   }
 
   static constexpr std::int64_t kUnassigned = -1;

@@ -30,6 +30,8 @@ PatchResult filter_and_replay(const graph::Graph& g,
   const std::size_t message_count = holds.empty() ? 0 : holds[0].size();
   PatchResult result;
 
+  model::ScheduleBuilder filtered;
+  std::vector<graph::Vertex> kept;
   std::vector<std::pair<graph::Vertex, model::Message>> arrivals;
   std::vector<std::pair<graph::Vertex, model::Message>> next_arrivals;
   for (std::size_t t = 0; t < old_schedule.round_count(); ++t) {
@@ -37,31 +39,26 @@ PatchResult filter_and_replay(const graph::Graph& g,
       holds[receiver].set(message);
     }
     arrivals.clear();
-    for (const model::Transmission& tx : old_schedule.round(t)) {
+    for (const model::Tx& tx : old_schedule.round(t)) {
       if (tx.sender >= n || tx.message >= message_count ||
           !holds[tx.sender].test(tx.message)) {
         ++result.dropped_transmissions;
         continue;
       }
-      model::Transmission kept;
-      kept.message = tx.message;
-      kept.sender = tx.sender;
-      kept.receivers.reserve(tx.receivers.size());
-      for (graph::Vertex r : tx.receivers) {
+      kept.clear();
+      for (graph::Vertex r : old_schedule.receivers(tx)) {
         if (r < n && g.has_edge(tx.sender, r)) {
-          kept.receivers.push_back(r);
+          kept.push_back(r);
         } else {
           ++result.trimmed_receivers;
         }
       }
-      if (kept.receivers.empty()) {
+      if (kept.empty()) {
         ++result.dropped_transmissions;
         continue;
       }
-      for (graph::Vertex r : kept.receivers) {
-        next_arrivals.emplace_back(r, kept.message);
-      }
-      result.schedule.add(t, std::move(kept));
+      for (graph::Vertex r : kept) next_arrivals.emplace_back(r, tx.message);
+      filtered.add(t, tx.message, tx.sender, kept);
     }
     std::swap(arrivals, next_arrivals);
     next_arrivals.clear();
@@ -69,7 +66,7 @@ PatchResult filter_and_replay(const graph::Graph& g,
   for (const auto& [receiver, message] : arrivals) {
     holds[receiver].set(message);
   }
-  result.schedule.trim();
+  result.schedule = filtered.build();
   result.base_rounds = result.schedule.total_time();
 
   result.complete =

@@ -94,7 +94,7 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
   std::vector<DynamicBitset> state = holds;
   std::size_t outstanding = outstanding_pairs(sc, state, live);
 
-  model::Schedule schedule;
+  model::ScheduleBuilder schedule;
   std::size_t t = 0;
   const std::size_t safety_limit = message_count * n + 8;
   std::vector<char> receiving(n, 0);
@@ -142,7 +142,7 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
         receiving[u] = 1;
         arrivals.emplace_back(u, best_message);
       }
-      schedule.add(t, {best_message, v, std::move(best_receivers)});
+      schedule.add(t, best_message, v, best_receivers);
     }
 
     MG_ASSERT_MSG(!arrivals.empty(),
@@ -153,8 +153,7 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
     }
     ++t;
   }
-  schedule.trim();
-  return schedule;
+  return schedule.build();
 }
 
 model::Schedule greedy_completion_schedule(
@@ -216,11 +215,13 @@ RecoveryOutcome solve_with_recovery(const graph::Graph& g,
       const std::size_t remaining =
           options.extra_round_budget - out.extra_rounds;
       if (repair.round_count() > remaining) {
-        model::Schedule truncated;
+        model::ScheduleBuilder truncated;
         for (std::size_t t = 0; t < remaining; ++t) {
-          for (const auto& tx : repair.round(t)) truncated.add(t, tx);
+          for (const model::Tx& tx : repair.round(t)) {
+            truncated.add(t, tx.message, tx.sender, repair.receivers(tx));
+          }
         }
-        repair = std::move(truncated);
+        repair = truncated.build();
       }
     }
 

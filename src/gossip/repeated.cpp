@@ -23,9 +23,9 @@ BusyMasks busy_masks(graph::Vertex n, const model::Schedule& schedule) {
   masks.send.assign(n, std::vector<std::uint64_t>(words, 0));
   masks.receive.assign(n, std::vector<std::uint64_t>(words, 0));
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+    for (const model::Tx& tx : schedule.round(t)) {
       masks.send[tx.sender][t >> 6] |= std::uint64_t{1} << (t & 63);
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         // Receive happens at t + 1; the mask stores the *receive* round.
         masks.receive[r][(t + 1) >> 6] |= std::uint64_t{1} << ((t + 1) & 63);
       }
@@ -82,19 +82,18 @@ RepeatedGossipResult repeated_gossip(const Instance& instance,
       pipelined ? pipeline_period(n, base) : std::max<std::size_t>(
                                                  base.total_time(), 1);
   result.message_count = copies * static_cast<std::size_t>(n);
-
+  model::ScheduleBuilder schedule;
   for (std::size_t c = 0; c < copies; ++c) {
     const std::size_t offset = c * result.period;
     const auto message_base = static_cast<model::Message>(c * n);
     for (std::size_t t = 0; t < base.round_count(); ++t) {
-      for (const auto& tx : base.round(t)) {
-        result.schedule.add(offset + t,
-                            {message_base + tx.message, tx.sender,
-                             tx.receivers});
+      for (const model::Tx& tx : base.round(t)) {
+        schedule.add(offset + t, message_base + tx.message, tx.sender,
+                     base.receivers(tx));
       }
     }
   }
-  result.schedule.trim();
+  result.schedule = schedule.build();
   result.total_time = result.schedule.total_time();
   result.amortized_time =
       static_cast<double>(result.total_time) / static_cast<double>(copies);

@@ -10,8 +10,8 @@ model::Schedule simple_gossip(const Instance& instance) {
   const auto& tree = instance.tree();
   const auto& labels = instance.labels();
   const graph::Vertex n = tree.vertex_count();
-  model::Schedule schedule;
-  if (n <= 1) return schedule;
+  model::ScheduleBuilder builder;
+  if (n <= 1) return builder.build();
 
   // Up phase: the vertex at level k holding message m (anywhere in its
   // subtree) forwards it at time m - k, so the root receives m at time m.
@@ -21,7 +21,7 @@ model::Schedule simple_gossip(const Instance& instance) {
     const tree::Label j = labels.subtree_end(v);
     const std::uint32_t k = tree.level(v);
     for (tree::Label m = i; m <= j; ++m) {
-      schedule.add(m - k, {m, v, {tree.parent(v)}});
+      builder.add(m - k, m, v, {tree.parent(v)});
     }
   }
 
@@ -32,14 +32,12 @@ model::Schedule simple_gossip(const Instance& instance) {
     if (tree.is_leaf(v)) continue;
     const std::uint32_t k = tree.level(v);
     const auto kids = tree.children(v);
-    const std::vector<graph::Vertex> receivers(kids.begin(), kids.end());
     for (model::Message m = 0; m < n; ++m) {
-      schedule.add(static_cast<std::size_t>(n) - 2 + m + k,
-                   {m, v, receivers});
+      builder.add(static_cast<std::size_t>(n) - 2 + m + k, m, v, kids);
     }
   }
 
-  schedule.trim();
+  model::Schedule schedule = builder.build();
   MG_ENSURES(schedule.total_time() ==
              simple_total_time(n, instance.radius()));
   return schedule;

@@ -23,9 +23,10 @@ VertexTimetable vertex_timetable(const Instance& instance,
 
   const bool has_parent = !tree.is_root(v);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+    for (const model::Tx& tx : schedule.round(t)) {
+      const auto receivers = schedule.receivers(tx);
       if (tx.sender == v) {
-        for (graph::Vertex r : tx.receivers) {
+        for (graph::Vertex r : receivers) {
           if (has_parent && r == tree.parent(v)) {
             MG_ASSERT(!table.send_to_parent[t] ||
                       *table.send_to_parent[t] == tx.message);
@@ -36,8 +37,7 @@ VertexTimetable vertex_timetable(const Instance& instance,
             table.send_to_children[t] = tx.message;
           }
         }
-      } else if (std::binary_search(tx.receivers.begin(), tx.receivers.end(),
-                                    v)) {
+      } else if (std::binary_search(receivers.begin(), receivers.end(), v)) {
         if (has_parent && tx.sender == tree.parent(v)) {
           MG_ASSERT(!table.receive_from_parent[t + 1]);
           table.receive_from_parent[t + 1] = tx.message;

@@ -59,13 +59,13 @@ WeightedResult weighted_gossip(const graph::Graph& g,
   result.schedule = concurrent_updown(result.virtual_instance);
 
   // Projection load: external = a transmission crossing real processors.
-  for (const auto& round : result.schedule.rounds()) {
+  for (std::size_t t = 0; t < result.schedule.round_count(); ++t) {
     std::vector<std::size_t> sends(n, 0);
     std::vector<std::size_t> receives(n, 0);
-    for (const auto& tx : round) {
+    for (const model::Tx& tx : result.schedule.round(t)) {
       const graph::Vertex sender_real = result.real_of[tx.sender];
       bool external_send = false;
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : result.schedule.receivers(tx)) {
         const graph::Vertex receiver_real = result.real_of[r];
         if (receiver_real == sender_real) continue;
         external_send = true;

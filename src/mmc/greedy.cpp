@@ -20,7 +20,7 @@ model::Schedule greedy_mmc_schedule(const MmcInstance& instance) {
     outstanding += message.destinations.size();
   }
 
-  model::Schedule schedule;
+  model::ScheduleBuilder schedule;
   std::size_t t = 0;
   const std::size_t safety_limit =
       4 * instance.degree() * instance.degree() + 4 * n + 16;
@@ -72,14 +72,13 @@ model::Schedule greedy_mmc_schedule(const MmcInstance& instance) {
         return std::binary_search(receivers.begin(), receivers.end(), d);
       });
       outstanding -= receivers.size();
-      schedule.add(t, {best, v, std::move(receivers)});
+      schedule.add(t, best, v, receivers);
       progressed = true;
     }
     MG_ASSERT_MSG(progressed, "greedy MMC stalled");
     ++t;
   }
-  schedule.trim();
-  return schedule;
+  return schedule.build();
 }
 
 }  // namespace mg::mmc

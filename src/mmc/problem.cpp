@@ -53,9 +53,11 @@ std::string MmcInstance::check(const model::Schedule& schedule) const {
   // Coverage: every message reaches every destination.
   std::vector<std::vector<char>> delivered(message_count(),
                                            std::vector<char>(n_, 0));
-  for (const auto& round : schedule.rounds()) {
-    for (const auto& tx : round) {
-      for (graph::Vertex r : tx.receivers) delivered[tx.message][r] = 1;
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    for (const model::Tx& tx : schedule.round(t)) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
+        delivered[tx.message][r] = 1;
+      }
     }
   }
   for (const auto& message : messages_) {

@@ -33,7 +33,7 @@ class TelephoneModel final : public CommModel {
 
   [[nodiscard]] std::string receiver_set_error(
       const graph::Graph&, graph::Vertex,
-      const std::vector<graph::Vertex>& receivers) const override {
+      std::span<const graph::Vertex> receivers) const override {
     if (receivers.size() != 1) return "multicast under telephone model";
     return {};
   }
@@ -46,7 +46,7 @@ class BroadcastChannelModel : public CommModel {
  public:
   [[nodiscard]] std::string receiver_set_error(
       const graph::Graph& g, graph::Vertex sender,
-      const std::vector<graph::Vertex>& receivers) const override {
+      std::span<const graph::Vertex> receivers) const override {
     const auto neighbors = g.neighbors(sender);
     if (receivers.size() == neighbors.size() &&
         std::equal(receivers.begin(), receivers.end(), neighbors.begin())) {
@@ -86,7 +86,7 @@ class DirectModel final : public CommModel {
 
 std::string CommModel::receiver_set_error(
     const graph::Graph&, graph::Vertex,
-    const std::vector<graph::Vertex>&) const {
+    std::span<const graph::Vertex>) const {
   return {};
 }
 

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ class CommModel {
   /// violation description (the validator appends the round context).
   [[nodiscard]] virtual std::string receiver_set_error(
       const graph::Graph& g, graph::Vertex sender,
-      const std::vector<graph::Vertex>& receivers) const;
+      std::span<const graph::Vertex> receivers) const;
 
   // --- delivery semantics -------------------------------------------------
 

@@ -15,12 +15,12 @@ ScheduleStats compute_stats(graph::Vertex n, const Schedule& schedule) {
 
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     auto& round = stats.per_round[t];
-    for (const auto& tx : schedule.round(t)) {
+    for (const Tx& tx : schedule.round(t)) {
       MG_EXPECTS(tx.sender < n);
       ++stats.transmissions;
       ++round.senders;
       ++stats.sends_per_processor[tx.sender];
-      const std::size_t fanout = tx.receivers.size();
+      const std::size_t fanout = tx.count;
       stats.deliveries += fanout;
       round.deliveries += fanout;
       round.receivers += fanout;
@@ -29,7 +29,7 @@ ScheduleStats compute_stats(graph::Vertex n, const Schedule& schedule) {
         stats.fanout_histogram.resize(fanout + 1, 0);
       }
       ++stats.fanout_histogram[fanout];
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         MG_EXPECTS(r < n);
         ++stats.receives_per_processor[r];
       }

@@ -10,7 +10,7 @@ namespace mg::model {
 
 namespace {
 
-std::string describe(const Transmission& tx, std::size_t t) {
+std::string describe(const Tx& tx, std::size_t t) {
   std::ostringstream out;
   out << "round " << t << ", msg " << tx.message << " from " << tx.sender;
   return out.str();
@@ -48,11 +48,7 @@ ValidationReport validate_schedule_general(
     }
     lacking[v] = message_count - hold[v].count();
   }
-  if (collisions) report.completion_time.assign(n, 0);
-
-  // Arrivals from round t are applied at the start of processing round t+1
-  // (receive-before-send), recorded here as (receiver, message) pairs.
-  std::vector<std::pair<graph::Vertex, Message>> in_flight;
+  report.completion_time.assign(n, 0);
 
   std::vector<std::size_t> receiver_seen(n, SIZE_MAX);
   std::vector<std::size_t> sender_seen(n, SIZE_MAX);
@@ -60,35 +56,34 @@ ValidationReport validate_schedule_general(
   // maintained under a collision-loss model).
   std::vector<std::size_t> incoming(collisions ? n : 0, 0);
 
-  // Applies the previous round's candidate deliveries to the hold sets.
-  // Under a collision model a candidate lands only if the receiver was not
-  // itself transmitting (half-duplex) and heard exactly one transmission;
-  // `prev` is the round the candidates were sent in.
-  const auto apply_in_flight = [&](std::size_t prev, std::size_t at) {
-    for (const auto& [receiver, message] : in_flight) {
-      if (collisions) {
-        if (sender_seen[receiver] == prev || incoming[receiver] >= 2) {
+  // Applies round `sent`'s deliveries, which land at time sent + 1
+  // (receive-before-send): the round passed every check, so it is read
+  // straight from the schedule.  Under a collision model a delivery lands
+  // only if the receiver was not itself transmitting (half-duplex) and
+  // heard exactly one transmission.
+  const auto deliver = [&](std::size_t sent) {
+    for (const Tx& tx : schedule.round(sent)) {
+      for (const graph::Vertex r : schedule.receivers(tx)) {
+        if (collisions && (sender_seen[r] == sent || incoming[r] >= 2)) {
           ++report.collided;
           continue;
         }
-        if (!hold[receiver].test(message)) {
-          hold[receiver].set(message);
-          if (--lacking[receiver] == 0) report.completion_time[receiver] = at;
+        if (!hold[r].test(tx.message)) {
+          hold[r].set(tx.message);
+          if (--lacking[r] == 0) report.completion_time[r] = sent + 1;
         }
-        continue;
       }
-      hold[receiver].set(message);
     }
-    in_flight.clear();
   };
 
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    apply_in_flight(t == 0 ? SIZE_MAX : t - 1, t);
+    if (t > 0) deliver(t - 1);
     if (collisions) {
       for (graph::Vertex v = 0; v < n; ++v) incoming[v] = 0;
     }
 
-    for (const auto& tx : schedule.round(t)) {
+    for (const Tx& tx : schedule.round(t)) {
+      const auto receivers = schedule.receivers(tx);
       if (tx.sender >= n) {
         report.error = "sender index out of range at " + describe(tx, t);
         return report;
@@ -97,12 +92,11 @@ ValidationReport validate_schedule_general(
         report.error = "message id out of range at " + describe(tx, t);
         return report;
       }
-      if (tx.receivers.empty()) {
+      if (receivers.empty()) {
         report.error = "empty receiver set at " + describe(tx, t);
         return report;
       }
-      if (std::string shape =
-              model.receiver_set_error(g, tx.sender, tx.receivers);
+      if (std::string shape = model.receiver_set_error(g, tx.sender, receivers);
           !shape.empty()) {
         report.error = shape + " at " + describe(tx, t);
         return report;
@@ -118,7 +112,7 @@ ValidationReport validate_schedule_general(
                        describe(tx, t);
         return report;
       }
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : receivers) {
         if (r >= n) {
           report.error = "receiver out of range at " + describe(tx, t);
           return report;
@@ -143,12 +137,10 @@ ValidationReport validate_schedule_general(
         } else {
           ++incoming[r];
         }
-        in_flight.emplace_back(r, tx.message);
       }
     }
   }
-  const std::size_t rounds = schedule.round_count();
-  apply_in_flight(rounds == 0 ? SIZE_MAX : rounds - 1, rounds);
+  if (schedule.round_count() > 0) deliver(schedule.round_count() - 1);
 
   report.total_time = schedule.total_time();
 
@@ -162,31 +154,10 @@ ValidationReport validate_schedule_general(
         return report;
       }
     }
-    if (collisions) {
-      // Completion times were tracked in the delivery pass (the replay
-      // below assumes every scheduled receiver decodes, which is exactly
-      // what a collision model does not guarantee).
-      report.ok = true;
-      return report;
-    }
-    // Second pass for per-processor completion times.
-    report.completion_time.assign(n, 0);
-    std::vector<DynamicBitset> again(n, DynamicBitset(message_count));
-    std::vector<std::size_t> missing(n, 0);
-    for (graph::Vertex v = 0; v < n; ++v) {
-      for (Message m : initial_sets[v]) again[v].set(m);
-      missing[v] = message_count - again[v].count();
-    }
-    for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-      for (const auto& tx : schedule.round(t)) {
-        for (graph::Vertex r : tx.receivers) {
-          if (!again[r].test(tx.message)) {
-            again[r].set(tx.message);
-            if (--missing[r] == 0) report.completion_time[r] = t + 1;
-          }
-        }
-      }
-    }
+  } else if (!collisions) {
+    // Completion times are reported for gossip runs, and always under a
+    // collision model (where only the delivery pass can tell them).
+    report.completion_time.clear();
   }
 
   report.ok = true;
@@ -222,13 +193,13 @@ ValidationReport validate_broadcast(const graph::Graph& g,
   std::vector<char> has(n, 0);
   has[source] = 1;
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+    for (const Tx& tx : schedule.round(t)) {
       if (tx.message != source) {
         report.ok = false;
         report.error = "broadcast schedule carries a foreign message";
         return report;
       }
-      for (graph::Vertex r : tx.receivers) has[r] = 1;
+      for (graph::Vertex r : schedule.receivers(tx)) has[r] = 1;
     }
   }
   for (graph::Vertex v = 0; v < n; ++v) {

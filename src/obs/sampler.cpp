@@ -129,13 +129,16 @@ void Sampler::write_json(std::ostream& out) const {
 }
 
 void Sampler::run_loop() {
+  // The first sample is taken before the stop flag is read, so a started
+  // sampler always records at least one sample, even when stop() wins the
+  // race with the thread's start-up.
   std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_requested_) {
+  do {
     lock.unlock();
     sample_now();
     lock.lock();
     cv_.wait_for(lock, options_.cadence, [this] { return stop_requested_; });
-  }
+  } while (!stop_requested_);
 }
 
 }  // namespace mg::obs

@@ -59,7 +59,10 @@ class Sampler {
   ~Sampler();  // stops the thread
 
   /// Starts the background thread; returns false (and stays inert) when
-  /// already running or when the build compiled observability out.
+  /// already running or when the build compiled observability out.  A
+  /// started thread takes its first sample before it looks at the stop
+  /// flag: every successful start() records at least one sample, however
+  /// soon stop() follows.
   bool start();
 
   /// Stops and joins the thread; idempotent.

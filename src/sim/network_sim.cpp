@@ -100,7 +100,7 @@ SimResult run_simulation(const graph::Graph& g,
       // Channel pre-pass: who actually transmits this round (the same
       // crash/drop/hold verdicts as the delivery loop below — all pure
       // queries) and how many transmissions each receiver hears.
-      for (const auto& tx : schedule.round(t)) {
+      for (const model::Tx& tx : schedule.round(t)) {
         if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
         if (legacy_drops.contains(t, tx.sender) ||
             (plan != nullptr && plan->drops(abs_t, tx.sender))) {
@@ -108,7 +108,7 @@ SimResult run_simulation(const graph::Graph& g,
         }
         if (!hold[tx.sender].test(tx.message)) continue;
         last_tx[tx.sender] = t;
-        for (Vertex r : tx.receivers) {
+        for (Vertex r : schedule.receivers(tx)) {
           if (heard_round[r] != t) {
             heard_round[r] = t;
             heard_count[r] = 0;
@@ -117,14 +117,15 @@ SimResult run_simulation(const graph::Graph& g,
         }
       }
     }
-    for (const auto& tx : schedule.round(t)) {
+    for (const model::Tx& tx : schedule.round(t)) {
+      const auto receivers = schedule.receivers(tx);
       const Vertex first_receiver =
-          tx.receivers.empty() ? tx.sender : tx.receivers.front();
+          receivers.empty() ? tx.sender : receivers.front();
       if (plan != nullptr && plan->crashed(tx.sender, abs_t)) {
         ++result.crashed_sends;
         if (options.sink != nullptr) {
           options.sink->on_event({"crash", t, tx.sender, tx.message,
-                                  first_receiver, tx.receivers.size()});
+                                  first_receiver, receivers.size()});
         }
         continue;
       }
@@ -133,7 +134,7 @@ SimResult run_simulation(const graph::Graph& g,
         ++result.injected_drops;
         if (options.sink != nullptr) {
           options.sink->on_event({"drop", t, tx.sender, tx.message,
-                                  first_receiver, tx.receivers.size()});
+                                  first_receiver, receivers.size()});
         }
         continue;
       }
@@ -141,7 +142,7 @@ SimResult run_simulation(const graph::Graph& g,
         ++result.skipped_sends;  // fault cascade: nothing to forward
         if (options.sink != nullptr) {
           options.sink->on_event({"skip", t, tx.sender, tx.message,
-                                  first_receiver, tx.receivers.size()});
+                                  first_receiver, receivers.size()});
         }
         continue;
       }
@@ -154,12 +155,12 @@ SimResult run_simulation(const graph::Graph& g,
         send_trace = ++next_trace;
         options.sink->on_event(
             {"send", t, tx.sender, tx.message, first_receiver,
-             tx.receivers.size(), send_trace,
+             receivers.size(), send_trace,
              first_arrival[static_cast<std::size_t>(tx.sender) *
                                message_count +
                            tx.message]});
       }
-      for (Vertex r : tx.receivers) {
+      for (Vertex r : receivers) {
         if (collisions && (last_tx[r] == t || heard_count[r] >= 2)) {
           // heard_round[r] == t is guaranteed: this very transmission was
           // counted in the pre-pass.  The receiver decodes nothing — either
@@ -238,7 +239,7 @@ SimResult run_simulation(const graph::Graph& g,
 }
 
 /// Word-at-a-time execution core.  Same semantics, events and counters as
-/// `run_simulation` (the bit core above is kept verbatim as the oracle;
+/// `run_simulation` (the bit core above is kept as the oracle;
 /// sim_core_test pins full-result equality), but the hold state is one
 /// contiguous n x W uint64 matrix (W = ceil(message_count / 64)): a
 /// delivery is a single OR + popcount-free knowledge update, initial
@@ -246,7 +247,7 @@ SimResult run_simulation(const graph::Graph& g,
 /// reused modular ring instead of a horizon-sized vector-of-vectors.  The
 /// allocation profile is O(1) vectors per run however large n gets.
 SimResult run_simulation_words(const graph::Graph& g,
-                               const model::CompiledSchedule& schedule,
+                               const model::Schedule& schedule,
                                std::vector<std::uint64_t> hold,
                                std::size_t message_count,
                                std::vector<std::size_t> known,
@@ -344,7 +345,7 @@ SimResult run_simulation_words(const graph::Graph& g,
         result.knowledge.push_back(total_known);  // state at time t
       }
       auto& bucket = ring[(t + 1) & ring_mask];
-      for (const auto& tx : schedule.round(t)) {
+      for (const model::Tx& tx : schedule.round(t)) {
         MG_EXPECTS(tx.sender < n);
         MG_EXPECTS(tx.message < message_count);
         const bool sender_holds =
@@ -378,7 +379,7 @@ SimResult run_simulation_words(const graph::Graph& g,
       // Channel pre-pass: who actually transmits this round (the same
       // crash/drop/hold verdicts as the delivery loop below — all pure
       // queries) and how many transmissions each receiver hears.
-      for (const auto& tx : schedule.round(t)) {
+      for (const model::Tx& tx : schedule.round(t)) {
         if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
         if ((has_legacy_drops && legacy_drops.contains(t, tx.sender)) ||
             (plan != nullptr && plan->drops(abs_t, tx.sender))) {
@@ -395,7 +396,7 @@ SimResult run_simulation_words(const graph::Graph& g,
         }
       }
     }
-    for (const auto& tx : schedule.round(t)) {
+    for (const model::Tx& tx : schedule.round(t)) {
       const auto receivers = schedule.receivers(tx);
       const Vertex first_receiver =
           receivers.empty() ? tx.sender : receivers.front();
@@ -537,7 +538,7 @@ SimResult run_simulation_words(const graph::Graph& g,
 
 /// Flattens per-node bitsets into the word core's hold matrix + popcounts.
 SimResult run_words_from_bitsets(const graph::Graph& g,
-                                 const model::CompiledSchedule& schedule,
+                                 const model::Schedule& schedule,
                                  const std::vector<DynamicBitset>& holds,
                                  std::size_t message_count,
                                  const SimOptions& options) {
@@ -582,8 +583,8 @@ SimResult simulate(const graph::Graph& g, const model::Schedule& schedule,
         std::uint64_t{1} << (origin[v] & 63);
     known[v] = 1;
   }
-  return run_simulation_words(g, model::CompiledSchedule::compile(schedule),
-                              std::move(hold), n, std::move(known), options);
+  return run_simulation_words(g, schedule, std::move(hold), n,
+                              std::move(known), options);
 }
 
 SimResult simulate_from_holds(const graph::Graph& g,
@@ -597,18 +598,6 @@ SimResult simulate_from_holds(const graph::Graph& g,
   if (options.core == SimCore::kBitwise) {
     return run_simulation(g, schedule, initial_holds, message_count, options);
   }
-  return run_words_from_bitsets(g, model::CompiledSchedule::compile(schedule),
-                                initial_holds, message_count, options);
-}
-
-SimResult simulate_compiled(const graph::Graph& g,
-                            const model::CompiledSchedule& schedule,
-                            const std::vector<DynamicBitset>& initial_holds,
-                            const SimOptions& options) {
-  const Vertex n = g.vertex_count();
-  MG_EXPECTS(initial_holds.size() == n);
-  const std::size_t message_count = n == 0 ? 0 : initial_holds[0].size();
-  for (const auto& h : initial_holds) MG_EXPECTS(h.size() == message_count);
   return run_words_from_bitsets(g, schedule, initial_holds, message_count,
                                 options);
 }

@@ -14,7 +14,6 @@
 #include "fault/fault.h"
 #include "graph/graph.h"
 #include "model/comm_model.h"
-#include "model/compiled.h"
 #include "model/schedule.h"
 #include "obs/trace.h"
 #include "support/bitset.h"
@@ -30,8 +29,9 @@ using model::Message;
 /// bitset-per-node implementation kept as the oracle.
 enum class SimCore : std::uint8_t {
   /// Flat word-at-a-time core: one contiguous n x ceil(mc/64) uint64 hold
-  /// matrix, schedule compiled to CSR, deliveries as single-word OR with
-  /// popcount-maintained knowledge counters.  The default.
+  /// matrix walked against the schedule's CSR arrays, deliveries as
+  /// single-word OR with popcount-maintained knowledge counters.  The
+  /// default.
   kWordParallel,
   /// Legacy core: one DynamicBitset per node, per-bit test/set.
   kBitwise,
@@ -142,14 +142,6 @@ struct SimResult {
 /// `initial_holds[0].size()` messages.
 [[nodiscard]] SimResult simulate_from_holds(
     const graph::Graph& g, const model::Schedule& schedule,
-    const std::vector<DynamicBitset>& initial_holds,
-    const SimOptions& options = {});
-
-/// Word-parallel execution of an already-compiled schedule — the repeated
-/// runner's fast path (compile once, simulate under many fault plans).
-/// `options.core` is ignored: this entry point is the word core.
-[[nodiscard]] SimResult simulate_compiled(
-    const graph::Graph& g, const model::CompiledSchedule& schedule,
     const std::vector<DynamicBitset>& initial_holds,
     const SimOptions& options = {});
 

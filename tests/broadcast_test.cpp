@@ -38,7 +38,7 @@ TEST(Broadcast, EachVertexReceivesAtItsBfsDistance) {
   std::vector<std::size_t> arrival(g.vertex_count(), 0);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (graph::Vertex r : tx.receivers) arrival[r] = t + 1;
+      for (graph::Vertex r : schedule.receivers(tx)) arrival[r] = t + 1;
     }
   }
   for (graph::Vertex v = 0; v < g.vertex_count(); ++v) {
@@ -51,9 +51,9 @@ TEST(Broadcast, EveryVertexReceivesExactlyOnce) {
   const auto g = graph::petersen();
   const auto schedule = multicast_broadcast(g, 0);
   std::vector<int> receipts(10, 0);
-  for (const auto& round : schedule.rounds()) {
-    for (const auto& tx : round) {
-      for (graph::Vertex r : tx.receivers) ++receipts[r];
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    for (const auto& tx : schedule.round(t)) {
+      for (graph::Vertex r : schedule.receivers(tx)) ++receipts[r];
     }
   }
   EXPECT_EQ(receipts[0], 0);

@@ -281,6 +281,19 @@ TEST(Sampler, StartStopRespectsCompileSwitch) {
   }
 }
 
+TEST(Sampler, EveryStartRecordsASample) {
+  // stop() right after start() races the thread's start-up; whichever
+  // wins, a started sampler has taken at least one sample.
+  if (MG_OBS_ENABLED == 0) GTEST_SKIP() << "observability compiled out";
+  Registry registry;
+  Sampler sampler(registry, {std::chrono::milliseconds(1), 4});
+  for (std::uint64_t i = 1; i <= 10'000; ++i) {
+    ASSERT_TRUE(sampler.start());
+    sampler.stop();
+    ASSERT_GE(sampler.samples_taken(), i) << "start/stop cycle " << i;
+  }
+}
+
 TEST(Sampler, WriteJsonRoundTripsThroughParser) {
   Registry registry;
   Sampler sampler(registry, {std::chrono::milliseconds(25), 8});

@@ -58,7 +58,7 @@ TEST(LineOptimal, CenterReceivesAlternatingArms) {
   std::vector<std::size_t> arrival(2 * m + 1, 0);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == center) arrival[tx.message] = t + 1;
       }
     }
@@ -91,8 +91,8 @@ TEST(LineOptimal, ProtocolIsNonUniform) {
   const graph::Vertex right1 = m + 1;
   std::size_t left_own_sends = 0;
   std::size_t right_own_sends = 0;
-  for (const auto& round : schedule.rounds()) {
-    for (const auto& tx : round) {
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    for (const auto& tx : schedule.round(t)) {
       if (tx.sender == left1 && tx.message == left1) ++left_own_sends;
       if (tx.sender == right1 && tx.message == right1) ++right_own_sends;
     }

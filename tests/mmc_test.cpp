@@ -92,18 +92,19 @@ TEST(Mmc, SingleMessageSingleRound) {
 
 TEST(Mmc, CheckCatchesMissingCoverage) {
   const auto instance = MmcInstance::gossip_restriction(4);
-  model::Schedule partial;
+  model::ScheduleBuilder partial;
   partial.add(0, {0, 0, {1, 2, 3}});  // only message 0 delivered
-  EXPECT_NE(instance.check(partial), "");
+  EXPECT_NE(instance.check(partial.build()), "");
 }
 
 TEST(Mmc, CheckCatchesRuleViolations) {
   const auto instance = MmcInstance::gossip_restriction(4);
-  model::Schedule bad;
+  model::ScheduleBuilder bad;
   bad.add(0, {0, 0, {1}});
   bad.add(0, {1, 1, {2}});
   bad.add(0, {2, 2, {1}});  // processor 1 receives twice in round 0
-  EXPECT_NE(instance.check(bad).find("receives two"), std::string::npos);
+  EXPECT_NE(instance.check(bad.build()).find("receives two"),
+            std::string::npos);
 }
 
 TEST(Mmc, HeavyHubInstance) {

@@ -46,26 +46,29 @@ struct ScheduleShrinkResult {
 /// The first `rounds` rounds of `schedule`.
 inline model::Schedule schedule_prefix(const model::Schedule& schedule,
                                        std::size_t rounds) {
-  model::Schedule out;
+  model::ScheduleBuilder out;
   for (std::size_t t = 0; t < rounds && t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) out.add(t, tx);
+    for (const model::Tx& tx : schedule.round(t)) {
+      out.add(t, tx.message, tx.sender, schedule.receivers(tx));
+    }
   }
-  return out;
+  return out.build();
 }
 
 /// `schedule` with the transmission at flat position `skip` removed (flat
 /// order: rounds ascending, transmissions in round order).
 inline model::Schedule elide_transmission(const model::Schedule& schedule,
                                           std::size_t skip) {
-  model::Schedule out;
+  model::ScheduleBuilder out;
   std::size_t flat = 0;
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
-      if (flat++ != skip) out.add(t, tx);
+    for (const model::Tx& tx : schedule.round(t)) {
+      if (flat++ != skip) {
+        out.add(t, tx.message, tx.sender, schedule.receivers(tx));
+      }
     }
   }
-  out.trim();
-  return out;
+  return out.build();
 }
 
 inline ScheduleShrinkResult shrink_schedule(
@@ -112,18 +115,20 @@ inline std::string regression_snippet(const ScheduleShrinkResult& shrunk,
       << shrunk.schedule.round_count() << " of " << shrunk.original_rounds
       << " rounds\n";
   out << "const graph::Graph g = " << graph_expr << ";\n";
-  out << "model::Schedule schedule;\n";
+  out << "model::ScheduleBuilder builder;\n";
   for (std::size_t t = 0; t < shrunk.schedule.round_count(); ++t) {
-    for (const auto& tx : shrunk.schedule.round(t)) {
-      out << "schedule.add(" << t << ", {" << tx.message << ", " << tx.sender
+    for (const model::Tx& tx : shrunk.schedule.round(t)) {
+      out << "builder.add(" << t << ", {" << tx.message << ", " << tx.sender
           << ", {";
-      for (std::size_t i = 0; i < tx.receivers.size(); ++i) {
+      const auto receivers = shrunk.schedule.receivers(tx);
+      for (std::size_t i = 0; i < receivers.size(); ++i) {
         if (i > 0) out << ", ";
-        out << tx.receivers[i];
+        out << receivers[i];
       }
       out << "}});\n";
     }
   }
+  out << "const model::Schedule schedule = builder.build();\n";
   return out.str();
 }
 

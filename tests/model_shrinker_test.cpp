@@ -105,23 +105,25 @@ TEST(ModelShrinker, ShrinksCorruptedScheduleToOffender) {
 
   // Rebuild the schedule with the first multi-receiver broadcast of round 0
   // clipped to a single receiver.
-  model::Schedule corrupted;
+  model::ScheduleBuilder builder;
   bool clipped = false;
   model::Message offender_message = 0;
   graph::Vertex offender_sender = 0;
   for (std::size_t t = 0; t < adapted.schedule.round_count(); ++t) {
-    for (const auto& tx : adapted.schedule.round(t)) {
-      if (!clipped && t == 0 && tx.receivers.size() > 1) {
-        corrupted.add(t, {tx.message, tx.sender, {tx.receivers.front()}});
+    for (const model::Tx& tx : adapted.schedule.round(t)) {
+      const auto receivers = adapted.schedule.receivers(tx);
+      if (!clipped && t == 0 && receivers.size() > 1) {
+        builder.add(t, tx.message, tx.sender, {receivers.front()});
         offender_message = tx.message;
         offender_sender = tx.sender;
         clipped = true;
       } else {
-        corrupted.add(t, tx);
+        builder.add(t, tx.message, tx.sender, receivers);
       }
     }
   }
   ASSERT_TRUE(clipped) << "no multi-receiver broadcast in round 0";
+  const model::Schedule corrupted = builder.build();
 
   const std::vector<model::Message> initial = sol.instance.initial();
   const test::ScheduleFailurePredicate neighborhood_error =
@@ -143,7 +145,7 @@ TEST(ModelShrinker, ShrinksCorruptedScheduleToOffender) {
   const auto& survivor = shrunk.schedule.round(0).front();
   EXPECT_EQ(survivor.message, offender_message);
   EXPECT_EQ(survivor.sender, offender_sender);
-  EXPECT_EQ(survivor.receivers.size(), 1u);
+  EXPECT_EQ(survivor.count, 1u);
 }
 
 // Pinned minimal regressions, one per model rule.  These are the kind of
@@ -154,8 +156,9 @@ TEST(ModelShrinker, PinnedModelRegressions) {
 
   {
     // Telephone: |D| = 2 is a multicast.
-    model::Schedule schedule;
-    schedule.add(0, {1, 1, {0, 2}});
+    model::ScheduleBuilder builder;
+    builder.add(0, {1, 1, {0, 2}});
+    const model::Schedule schedule = builder.build();
     model::ValidatorOptions options;
     options.model = &model::telephone_model();
     options.require_completion = false;
@@ -166,8 +169,9 @@ TEST(ModelShrinker, PinnedModelRegressions) {
   }
   {
     // Radio: a transmission cannot address a subset of the neighborhood.
-    model::Schedule schedule;
-    schedule.add(0, {1, 1, {0}});
+    model::ScheduleBuilder builder;
+    builder.add(0, {1, 1, {0}});
+    const model::Schedule schedule = builder.build();
     model::ValidatorOptions options;
     options.model = &model::radio_model();
     options.require_completion = false;
@@ -181,9 +185,10 @@ TEST(ModelShrinker, PinnedModelRegressions) {
     // Radio collisions are legal but lossy: 0 and 2 transmit into 1
     // simultaneously, so 1 decodes nothing — the validator accepts the
     // schedule and reports both candidate deliveries as collided.
-    model::Schedule schedule;
-    schedule.add(0, {0, 0, {1}});
-    schedule.add(0, {2, 2, {1}});
+    model::ScheduleBuilder builder;
+    builder.add(0, {0, 0, {1}});
+    builder.add(0, {2, 2, {1}});
+    const model::Schedule schedule = builder.build();
     model::ValidatorOptions options;
     options.model = &model::radio_model();
     options.require_completion = false;
@@ -194,8 +199,9 @@ TEST(ModelShrinker, PinnedModelRegressions) {
   {
     // Direct addressing accepts the send the multicast model rejects:
     // 0 and 2 are not adjacent in the path.
-    model::Schedule schedule;
-    schedule.add(0, {0, 0, {2}});
+    model::ScheduleBuilder builder;
+    builder.add(0, {0, 0, {2}});
+    const model::Schedule schedule = builder.build();
     model::ValidatorOptions multicast_options;
     multicast_options.require_completion = false;
     const auto rejected =

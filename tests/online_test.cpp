@@ -97,7 +97,7 @@ TEST(Online, PerProcessorDecisionParityWithOffline) {
         // Receive (sends of round t-1 arrive at t) happens before send.
         if (t > 0) {
           for (const auto& tx : offline.round(t - 1)) {
-            for (const graph::Vertex r : tx.receivers) {
+            for (const graph::Vertex r : offline.receivers(tx)) {
               procs[r].deliver(t, tx.message,
                                /*from_parent=*/!tree.is_root(r) &&
                                    tree.parent(r) == tx.sender);
@@ -106,7 +106,7 @@ TEST(Online, PerProcessorDecisionParityWithOffline) {
         }
         std::vector<std::optional<model::Transmission>> expected(n);
         for (const auto& tx : offline.round(t)) {
-          expected[tx.sender] = tx;
+          expected[tx.sender] = test::transmission_of(offline, tx);
         }
         for (graph::Vertex v = 0; v < n; ++v) {
           SCOPED_TRACE(family.name + " knob=" + std::to_string(knob) +

@@ -72,22 +72,23 @@ TEST(ExactSearch, N3WitnessCertificateSchedule) {
   // The hand-built 4-round multicast certificate from DESIGN.md, verified
   // against the independent validator.  Parts {0,1} and {2,3,4}.
   const auto g = graph::n3_witness();
-  model::Schedule s;
-  s.add(0, {2, 2, {0}});
-  s.add(0, {3, 3, {1}});
-  s.add(0, {0, 0, {3, 4}});
-  s.add(0, {1, 1, {2}});
-  s.add(1, {4, 4, {0, 1}});
-  s.add(1, {0, 0, {2}});
-  s.add(1, {1, 1, {3, 4}});
-  s.add(2, {2, 2, {1}});
-  s.add(2, {3, 3, {0}});
-  s.add(2, {4, 0, {2, 3}});
-  s.add(2, {3, 1, {4}});
-  s.add(3, {1, 2, {0}});
-  s.add(3, {0, 3, {1}});
-  s.add(3, {3, 0, {2}});
-  s.add(3, {2, 1, {3, 4}});
+  model::ScheduleBuilder builder;
+  builder.add(0, {2, 2, {0}});
+  builder.add(0, {3, 3, {1}});
+  builder.add(0, {0, 0, {3, 4}});
+  builder.add(0, {1, 1, {2}});
+  builder.add(1, {4, 4, {0, 1}});
+  builder.add(1, {0, 0, {2}});
+  builder.add(1, {1, 1, {3, 4}});
+  builder.add(2, {2, 2, {1}});
+  builder.add(2, {3, 3, {0}});
+  builder.add(2, {4, 0, {2, 3}});
+  builder.add(2, {3, 1, {4}});
+  builder.add(3, {1, 2, {0}});
+  builder.add(3, {0, 3, {1}});
+  builder.add(3, {3, 0, {2}});
+  builder.add(3, {2, 1, {3, 4}});
+  const model::Schedule s = builder.build();
   const auto report = model::validate_schedule(g, s);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(s.total_time(), 4u);

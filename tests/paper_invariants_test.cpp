@@ -41,7 +41,7 @@ TEST_P(Windows, EverySendAndReceiptLandsInAPaperWindow) {
 
       bool to_parent = false;
       bool to_children = false;
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         (r == (tree.is_root(v) ? graph::kNoVertex : tree.parent(v))
              ? to_parent
              : to_children) = true;
@@ -78,7 +78,7 @@ TEST_P(Windows, EverySendAndReceiptLandsInAPaperWindow) {
       }
 
       // Receipt windows.
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         const std::size_t ri = labels.label(r);
         const std::size_t rj = labels.subtree_end(r);
         const std::size_t rk = tree.level(r);
@@ -120,7 +120,7 @@ TEST_P(Windows, RootReceivesSequentially) {
   std::vector<std::size_t> arrival(instance.vertex_count(), 0);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == root) arrival[tx.message] = t + 1;
       }
     }
@@ -141,7 +141,7 @@ TEST_P(Windows, EveryVertexLastReceiptIsMessageZeroAtNPlusK) {
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
       if (tx.message != 0) continue;
-      for (graph::Vertex r : tx.receivers) zero_arrival[r] = t + 1;
+      for (graph::Vertex r : schedule.receivers(tx)) zero_arrival[r] = t + 1;
     }
   }
   for (graph::Vertex v = 0; v < n; ++v) {

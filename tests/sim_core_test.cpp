@@ -1,5 +1,5 @@
 // Differential test for the two simulator cores: the word-parallel core
-// (flat uint64 hold matrix, compiled schedule, single-word ORs) must be
+// (flat uint64 hold matrix, CSR schedule walk, single-word ORs) must be
 // event-for-event identical to the legacy bitwise core — same completion,
 // timing, knowledge curves, fault counters, final holds, buffered trace
 // and streamed sink events — across the seeded random sweep x all four
@@ -14,7 +14,6 @@
 #include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
-#include "model/compiled.h"
 #include "obs/trace.h"
 #include "sim/network_sim.h"
 #include "support/rng.h"
@@ -154,32 +153,6 @@ TEST(SimCore, FromHoldsMatchesBitwise) {
         sim::simulate_from_holds(tree, sol.schedule, holds, word_options);
     expect_equal(bit, word);
   }
-}
-
-TEST(SimCore, CompiledEntryPointMatchesSchedule) {
-  // simulate_compiled (compile once, run many) == simulate on the same
-  // inputs, and the compiled schedule round-trips the schedule's counts.
-  const graph::Graph g = make_graph(3);
-  const gossip::Solution sol =
-      gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
-  const graph::Graph tree = sol.instance.tree().as_graph();
-  const model::CompiledSchedule compiled =
-      model::CompiledSchedule::compile(sol.schedule);
-  EXPECT_EQ(compiled.round_count(), sol.schedule.round_count());
-  EXPECT_EQ(compiled.transmission_count(), sol.schedule.transmission_count());
-  EXPECT_EQ(compiled.delivery_count(), sol.schedule.delivery_count());
-
-  const graph::Vertex n = g.vertex_count();
-  std::vector<DynamicBitset> holds(n, DynamicBitset(n));
-  const std::vector<model::Message> initial = sol.instance.initial();
-  for (graph::Vertex v = 0; v < n; ++v) holds[v].set(initial[v]);
-
-  const sim::SimResult via_schedule =
-      sim::simulate(tree, sol.schedule, initial);
-  const sim::SimResult via_compiled =
-      sim::simulate_compiled(tree, compiled, holds);
-  expect_equal(via_schedule, via_compiled);
-  EXPECT_TRUE(via_compiled.completed);
 }
 
 TEST(SimCore, KeepFinalHoldsOff) {

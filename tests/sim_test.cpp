@@ -107,10 +107,10 @@ TEST(Sim, EmptyScheduleOnSingleton) {
 }
 
 TEST(Sim, CustomInitialAssignment) {
-  model::Schedule s;
+  model::ScheduleBuilder s;
   s.add(0, {1, 0, {1}});
   s.add(0, {0, 1, {0}});
-  const auto result = simulate(graph::path(2), s, {1, 0});
+  const auto result = simulate(graph::path(2), s.build(), {1, 0});
   EXPECT_TRUE(result.completed);
 }
 

@@ -28,7 +28,7 @@ TEST(Simple, RootReceivesMessageMAtTimeM) {
   std::vector<std::size_t> arrival(16, 0);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (graph::Vertex r : tx.receivers) {
+      for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == root && arrival[tx.message] == 0) {
           arrival[tx.message] = t + 1;
         }
@@ -47,7 +47,7 @@ TEST(Simple, DownPhaseStartsAtNMinusTwo) {
   for (const auto& tx : schedule.round(14)) {  // n - 2 == 14
     if (tx.sender == root && tx.message == 0) {
       found = true;
-      EXPECT_EQ(tx.receivers.size(), instance.tree().children(root).size());
+      EXPECT_EQ(tx.count, instance.tree().children(root).size());
     }
   }
   EXPECT_TRUE(found);
@@ -117,23 +117,30 @@ TEST(Simple, RedundantFinalSlotTrimsAway) {
   for (graph::Vertex v = 0; v < n; ++v) holds[v].set(initial[v]);
   for (std::size_t t = 0; t + 1 < makespan; ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (const graph::Vertex r : tx.receivers) holds[r].set(tx.message);
+      for (const graph::Vertex r : schedule.receivers(tx)) {
+        holds[r].set(tx.message);
+      }
     }
   }
 
   // The pinned finding: the whole final round is redundant.
   for (const auto& tx : schedule.round(makespan - 1)) {
-    for (const graph::Vertex r : tx.receivers) {
+    for (const graph::Vertex r : schedule.receivers(tx)) {
       EXPECT_TRUE(holds[r].test(tx.message))
           << "final slot delivers something new; pin is stale";
     }
   }
 
-  // Rebuild without it; trim() must remove the emptied trailing round.
-  model::Schedule trimmed(makespan);
+  // Rebuild without it, padded back to `makespan` rounds; trim() must
+  // remove the emptied trailing round.
+  model::ScheduleBuilder builder;
   for (std::size_t t = 0; t + 1 < makespan; ++t) {
-    for (const auto& tx : schedule.round(t)) trimmed.add(t, tx);
+    for (const auto& tx : schedule.round(t)) {
+      builder.add(t, tx.message, tx.sender, schedule.receivers(tx));
+    }
   }
+  model::Schedule trimmed = builder.build();
+  trimmed.append(model::Schedule{}, makespan);
   EXPECT_EQ(trimmed.round_count(), makespan);
   trimmed.trim();
   EXPECT_EQ(trimmed.round_count(), makespan - 1);

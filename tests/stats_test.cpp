@@ -19,10 +19,10 @@ TEST(Stats, EmptySchedule) {
 }
 
 TEST(Stats, HandBuiltCounts) {
-  Schedule s;
+  ScheduleBuilder s;
   s.add(0, {0, 0, {1, 2}});
   s.add(1, {1, 1, {0}});
-  const auto stats = compute_stats(3, s);
+  const auto stats = compute_stats(3, s.build());
   EXPECT_EQ(stats.rounds, 2u);
   EXPECT_EQ(stats.transmissions, 2u);
   EXPECT_EQ(stats.deliveries, 3u);

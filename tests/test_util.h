@@ -61,6 +61,14 @@ inline const std::vector<Family>& families() {
   return table;
 }
 
+/// The owning value of a stored tuple of `schedule`, for tests that rewrite
+/// schedules tuple by tuple.
+inline model::Transmission transmission_of(const model::Schedule& schedule,
+                                           const model::Tx& tx) {
+  const auto receivers = schedule.receivers(tx);
+  return {tx.message, tx.sender, {receivers.begin(), receivers.end()}};
+}
+
 /// Validates a gossip schedule produced on `instance`'s tree network and
 /// returns the report; fails the current test on violation.
 inline model::ValidationReport expect_valid_gossip(

@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "model/validator.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace mg::model {
 namespace {
@@ -31,14 +32,15 @@ Mutation mutate(const Schedule& base, Rng& rng, graph::Vertex n) {
   }
   const auto [t, e] = index[rng.below(index.size())];
 
-  Schedule mutated;
+  ScheduleBuilder mutated;
   const auto copy_all_except = [&](auto&& replace) {
     for (std::size_t tt = 0; tt < base.round_count(); ++tt) {
       for (std::size_t ee = 0; ee < base.round(tt).size(); ++ee) {
+        const Transmission tx = test::transmission_of(base, base.round(tt)[ee]);
         if (tt == t && ee == e) {
-          replace(tt, base.round(tt)[ee]);
+          replace(tt, tx);
         } else {
-          mutated.add(tt, base.round(tt)[ee]);
+          mutated.add(tt, tx);
         }
       }
     }
@@ -49,7 +51,7 @@ Mutation mutate(const Schedule& base, Rng& rng, graph::Vertex n) {
       // Drop the transmission entirely: the gossip cannot complete (every
       // ConcurrentUpDown transmission delivers at least one new message).
       copy_all_except([&](std::size_t, const Transmission&) {});
-      return {std::move(mutated), true};
+      return {mutated.build(), true};
     }
     case 1: {
       // Duplicate it in the same round: the sender sends twice.
@@ -57,7 +59,7 @@ Mutation mutate(const Schedule& base, Rng& rng, graph::Vertex n) {
         mutated.add(tt, original);
         mutated.add(tt, original);
       });
-      return {std::move(mutated), true};
+      return {mutated.build(), true};
     }
     case 2: {
       // Retarget one receiver to the sender itself: self-delivery.
@@ -70,7 +72,7 @@ Mutation mutate(const Schedule& base, Rng& rng, graph::Vertex n) {
                                 changed.receivers.end());
         mutated.add(tt, changed);
       });
-      return {std::move(mutated), true};
+      return {mutated.build(), true};
     }
     default: {
       // Replace the message with one the sender provably does not hold at
@@ -83,10 +85,10 @@ Mutation mutate(const Schedule& base, Rng& rng, graph::Vertex n) {
           changed.message = (original.message + n / 2) % n;
           mutated.add(tt, changed);
         });
-        return {std::move(mutated), true};
+        return {mutated.build(), true};
       }
       copy_all_except([&](std::size_t, const Transmission&) {});
-      return {std::move(mutated), true};
+      return {mutated.build(), true};
     }
   }
 }
@@ -118,10 +120,13 @@ TEST(ValidatorFuzz, TimeShiftForwardPreservesRulesButDelaysCausality) {
   // relative timings preserved).
   const auto g = graph::grid(3, 4);
   const auto sol = gossip::solve_gossip(g);
-  Schedule shifted;
+  ScheduleBuilder builder;
   for (std::size_t t = 0; t < sol.schedule.round_count(); ++t) {
-    for (const auto& tx : sol.schedule.round(t)) shifted.add(t + 1, tx);
+    for (const Tx& tx : sol.schedule.round(t)) {
+      builder.add(t + 1, tx.message, tx.sender, sol.schedule.receivers(tx));
+    }
   }
+  const Schedule shifted = builder.build();
   const auto report = validate_schedule(sol.instance.tree().as_graph(),
                                         shifted, sol.instance.initial());
   EXPECT_TRUE(report.ok) << report.error;
@@ -133,10 +138,13 @@ TEST(ValidatorFuzz, TimeShiftBackwardBreaksCausality) {
   // arrival (the relay chains are tight), so the validator must object.
   const auto g = graph::grid(3, 4);
   const auto sol = gossip::solve_gossip(g);
-  Schedule shifted;
+  ScheduleBuilder builder;
   for (std::size_t t = 1; t < sol.schedule.round_count(); ++t) {
-    for (const auto& tx : sol.schedule.round(t)) shifted.add(t - 1, tx);
+    for (const Tx& tx : sol.schedule.round(t)) {
+      builder.add(t - 1, tx.message, tx.sender, sol.schedule.receivers(tx));
+    }
   }
+  const Schedule shifted = builder.build();
   // Round-0 transmissions are dropped; even so the earlier rounds now
   // forward messages before receipt.
   const auto report = validate_schedule(sol.instance.tree().as_graph(),
@@ -162,13 +170,15 @@ TEST(ValidatorFuzz, ReceiverSwapAcrossRoundsCaught) {
                                               // legal (root holds msg 0)
 
     // Move the last round's transmission into round 0.
-    Schedule moved;
+    ScheduleBuilder builder;
     const std::size_t last = sol.schedule.round_count() - 1;
     for (std::size_t t = 0; t < sol.schedule.round_count(); ++t) {
-      for (const auto& tx : sol.schedule.round(t)) {
-        moved.add(t == last ? 0 : t, tx);
+      for (const Tx& tx : sol.schedule.round(t)) {
+        builder.add(t == last ? 0 : t, tx.message, tx.sender,
+                    sol.schedule.receivers(tx));
       }
     }
+    const Schedule moved = builder.build();
     const auto report = validate_schedule(sol.instance.tree().as_graph(),
                                           moved, sol.instance.initial());
     // The last round relays message 0 down at depth >= 1, long after its

@@ -12,6 +12,7 @@
 #include "graph/named.h"
 #include "model/schedule.h"
 #include "model/validator.h"
+#include "test_util.h"
 
 namespace mg {
 namespace {
@@ -44,20 +45,27 @@ struct Fixture {
 /// Copies `s` with `edit(t, tx)` applied to every transmission.
 template <typename Edit>
 Schedule rewrite(const Schedule& s, Edit&& edit) {
-  Schedule out;
+  model::ScheduleBuilder out;
   for (std::size_t t = 0; t < s.round_count(); ++t) {
-    for (const Transmission& tx : s.round(t)) {
-      Transmission copy = tx;
+    for (const model::Tx& tx : s.round(t)) {
+      Transmission copy = test::transmission_of(s, tx);
       edit(t, copy);
-      out.add(t, std::move(copy));
+      out.add(t, copy);
     }
   }
-  return out;
+  return out.build();
+}
+
+/// A schedule of the single tuple `tx` at time `t`.
+Schedule one_tuple(std::size_t t, const Transmission& tx) {
+  model::ScheduleBuilder builder;
+  builder.add(t, tx);
+  return builder.build();
 }
 
 /// True when `v` sends some message in round `t` of `s`.
 bool sends_in_round(const Schedule& s, std::size_t t, graph::Vertex v) {
-  for (const Transmission& tx : s.round(t)) {
+  for (const model::Tx& tx : s.round(t)) {
     if (tx.sender == v) return true;
   }
   return false;
@@ -73,14 +81,14 @@ TEST(ValidatorNegative, DuplicateReceiverInOneRound) {
   bool corrupted = false;
   for (std::size_t t = 0; t < f.sol.schedule.round_count() && !corrupted;
        ++t) {
-    for (const Transmission& tx : f.sol.schedule.round(t)) {
-      for (const graph::Vertex x : tx.receivers) {
+    for (const model::Tx& tx : f.sol.schedule.round(t)) {
+      for (const graph::Vertex x : f.sol.schedule.receivers(tx)) {
         for (const graph::Vertex w : f.tree.neighbors(x)) {
           if (w == tx.sender || sends_in_round(f.sol.schedule, t, w)) {
             continue;
           }
           Schedule bad = f.sol.schedule;
-          bad.add(t, Transmission{f.initial[w], w, {x}});
+          bad.append(one_tuple(t, {f.initial[w], w, {x}}), 0);
           const auto report = f.validate(bad);
           EXPECT_FALSE(report.ok);
           EXPECT_NE(report.error.find("receives two messages in one round"),
@@ -137,7 +145,7 @@ TEST(ValidatorNegative, SendBeforeHold) {
       f.initial[w == 0 ? 1 : 0];  // a message w does not hold at time 0
   ASSERT_NE(foreign, f.initial[w]);
   Schedule bad = f.sol.schedule;
-  bad.add(0, Transmission{foreign, w, {f.tree.neighbors(w).front()}});
+  bad.append(one_tuple(0, {foreign, w, {f.tree.neighbors(w).front()}}), 0);
   const auto report = f.validate(bad);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("sender does not hold the message"),
