@@ -85,7 +85,7 @@ class OnlineRule final : public LocalRule {
 /// centrally computed schedule, replayed at the specified times.
 class TimetableRule final : public LocalRule {
  public:
-  /// Extracts the rows whose sender is `self` from `schedule`.
+  /// Copies the rows whose sender is `self` out of `schedule`.
   TimetableRule(const model::Schedule& schedule, graph::Vertex self);
 
   void observe(std::size_t, model::Message, bool) override {}
@@ -94,7 +94,17 @@ class TimetableRule final : public LocalRule {
       std::size_t t) override;
 
  private:
-  std::vector<std::pair<std::size_t, model::Transmission>> rows_;
+  /// One own row; its D set is receivers_[first .. first + count).
+  struct Row {
+    std::size_t time = 0;
+    model::Message message = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+  };
+
+  graph::Vertex self_;
+  std::vector<Row> rows_;
+  std::vector<graph::Vertex> receivers_;
   std::size_t next_ = 0;
 };
 
