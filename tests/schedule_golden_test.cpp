@@ -13,6 +13,14 @@
 // `adapt_schedule` under each built-in model; and one `patch_schedule` per
 // test family after a seeded tree-edge removal.
 //
+// The repair planners are pinned harder, in *stored* order: the greedy
+// completion flood (`partial_completion_schedule`) on seeded degraded
+// states, every repair of one `solve_with_recovery` run, and one
+// `dist::ActorRuntime` run with decentralized recovery (emergent and repair
+// schedules plus the run's counters).  Their within-round order is part of
+// their output, because the radio/beep legalizer packs rounds in stored
+// order.
+//
 // To regenerate after an intended schedule change, run
 // `MG_GOLDEN_PRINT=1 ./schedule_golden_test` and paste the printed table.
 #include <gtest/gtest.h>
@@ -24,15 +32,20 @@
 #include <string>
 #include <vector>
 
+#include "dist/runtime.h"
+#include "fault/fault.h"
 #include "gossip/concurrent_updown.h"
 #include "gossip/online.h"
 #include "gossip/patch.h"
+#include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "graph/properties.h"
 #include "model/comm_model.h"
 #include "model/legalize.h"
+#include "sim/network_sim.h"
+#include "support/bitset.h"
 #include "support/fingerprint.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -46,6 +59,22 @@ void fold(Fingerprint64& fp, const model::Schedule& schedule) {
   fp.update(rounds);
   for (std::size_t t = 0; t < rounds; ++t) {
     const std::vector<model::Tx> round = model::canonical_round(schedule, t);
+    fp.update(round.size());
+    for (const model::Tx& tx : round) {
+      fp.update(tx.sender);
+      fp.update(tx.message);
+      fp.update(tx.count);
+      for (const graph::Vertex r : schedule.receivers(tx)) fp.update(r);
+    }
+  }
+}
+
+/// Folds `schedule` into `fp` in stored order: every round up to
+/// round_count(), tuples exactly as stored.
+void fold_stored(Fingerprint64& fp, const model::Schedule& schedule) {
+  fp.update(schedule.round_count());
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    const auto round = schedule.round(t);
     fp.update(round.size());
     for (const model::Tx& tx : round) {
       fp.update(tx.sender);
@@ -134,6 +163,44 @@ gossip::PatchResult patched(const graph::Graph& g, std::uint64_t seed) {
   return gossip::patch_schedule(cut, sol.schedule, sol.instance.initial());
 }
 
+/// The hold sets a ConcurrentUpDown run on `g`'s tree leaves behind under
+/// seeded 20% drops.
+std::vector<DynamicBitset> faulty_holds(const graph::Graph& g,
+                                        std::uint64_t seed) {
+  const gossip::Solution sol = gossip::solve_gossip(g);
+  fault::FaultPlan plan;
+  plan.drop_rate(0.2).seed(seed);
+  sim::SimOptions options;
+  options.faults = &plan;
+  return sim::simulate(sol.instance.tree().as_graph(), sol.schedule,
+                       sol.instance.initial(), options)
+      .final_holds;
+}
+
+/// About 15% of the processors dead, never all of them.
+std::vector<char> dead_mask(graph::Vertex n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<char> alive(n, 1);
+  for (graph::Vertex v = 0; v < n; ++v) alive[v] = rng.below(100) >= 15;
+  alive[rng.below(n)] = 1;
+  return alive;
+}
+
+/// `message_count` messages, each held by each processor with
+/// probability 3/10.
+std::vector<DynamicBitset> random_holds(graph::Vertex n,
+                                        std::size_t message_count,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<DynamicBitset> holds(n, DynamicBitset(message_count));
+  for (auto& h : holds) {
+    for (std::size_t m = 0; m < message_count; ++m) {
+      if (rng.below(10) < 3) h.set(m);
+    }
+  }
+  return holds;
+}
+
 /// Every case: a name and the digest over the schedules it produces.
 std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
   std::vector<std::pair<std::string, std::uint64_t>> out;
@@ -190,6 +257,105 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     fold(fp, patched(family.make(6), seed++).schedule);
     record("patch/" + family.name, fp);
   }
+
+  // The central repair planner on degraded states.
+  Fingerprint64 dead;
+  for (const auto& family : test::families()) {
+    const graph::Graph g = family.make(9);
+    const std::vector<DynamicBitset> holds = faulty_holds(g, seed++);
+    Fingerprint64 fp;
+    fold_stored(fp, gossip::partial_completion_schedule(g, holds));
+    record("partial/" + family.name, fp);
+    fold_stored(dead, gossip::partial_completion_schedule(
+                          g, holds, dead_mask(g.vertex_count(), seed++)));
+  }
+  record("partial/dead", dead);
+  {
+    // The middle column of a 7x7 grid dead: two survivor components.
+    const graph::Graph g = graph::grid(7, 7);
+    std::vector<char> alive(g.vertex_count(), 1);
+    for (graph::Vertex row = 0; row < 7; ++row) alive[row * 7 + 3] = 0;
+    Fingerprint64 fp;
+    fold_stored(fp, gossip::partial_completion_schedule(
+                        g, faulty_holds(g, seed++), alive));
+    record("partial/split_grid", fp);
+  }
+  {
+    // n + 37 messages, so the last hold word is partial.
+    Fingerprint64 fp;
+    for (std::uint64_t s = 0; s < 8; ++s) {
+      const graph::Graph g = battery_graph(s * 5 + 3);
+      const graph::Vertex n = g.vertex_count();
+      const auto holds = random_holds(n, n + 37, seed++);
+      fold_stored(fp, gossip::partial_completion_schedule(g, holds));
+      fold_stored(fp, gossip::partial_completion_schedule(
+                          g, holds, dead_mask(n, seed++)));
+    }
+    record("partial/wide", fp);
+  }
+  {
+    // Maximum degree >= 16: at least five counter planes.
+    Rng rng(seed++);
+    const graph::Graph graphs[] = {
+        graph::star(24), graph::complete(20),
+        graph::random_connected_gnp(48, 0.45, rng)};
+    Fingerprint64 fp;
+    for (const graph::Graph& g : graphs) {
+      fold_stored(fp, gossip::partial_completion_schedule(
+                          g, faulty_holds(g, seed++)));
+      fold_stored(fp, gossip::partial_completion_schedule(
+                          g, random_holds(g.vertex_count(),
+                                          g.vertex_count() + 37, seed++)));
+    }
+    record("partial/high_degree", fp);
+  }
+
+  {
+    // Every repair of one self-healing run under drops and a crash.
+    Rng rng(seed++);
+    const graph::Graph g = graph::random_geometric(40, 0.3, rng);
+    fault::FaultPlan plan;
+    plan.drop_rate(0.2).seed(seed++).crash(11, 6);
+    gossip::RecoveryOptions options;
+    options.max_attempts = 12;
+    const gossip::RecoveryOutcome outcome =
+        gossip::solve_with_recovery(g, plan, options);
+    Fingerprint64 fp;
+    fp.update(outcome.attempts);
+    fp.update(outcome.extra_rounds);
+    for (const model::Schedule& repair : outcome.repairs) {
+      fold_stored(fp, repair);
+    }
+    record("solve_with_recovery/repairs", fp);
+  }
+
+  {
+    // Decentralized recovery: the online rule on a geometric network with
+    // the tree root crashed at mid-horizon plus 1% drops.
+    Rng rng(seed++);
+    const graph::Graph g = graph::random_geometric(64, 0.2, rng);
+    const gossip::Instance instance = gossip::Instance::from_network(g);
+    const std::size_t horizon = g.vertex_count() + instance.radius();
+    fault::FaultPlan plan;
+    plan.drop_rate(0.01).seed(seed++).crash(instance.tree().root(),
+                                             horizon / 2);
+    dist::RuntimeOptions options;
+    options.faults = &plan;
+    dist::ActorRuntime runtime(instance, g, options);
+    runtime.use_online_rule();
+    const dist::RunReport run = runtime.run(horizon);
+    Fingerprint64 emergent, repair, counts;
+    fold_stored(emergent, run.emergent);
+    fold_stored(repair, run.repair);
+    for (const std::size_t c :
+         {run.recovery_rounds, run.messages, run.deliveries,
+          run.control_messages, run.causal.size()}) {
+      counts.update(c);
+    }
+    record("dist/emergent", emergent);
+    record("dist/repair", repair);
+    record("dist/counts", counts);
+  }
   return out;
 }
 
@@ -241,6 +407,28 @@ const std::vector<std::pair<std::string, std::uint64_t>> kGolden = {
     {"patch/random_tree", 0x1e721ca96d865caeULL},
     {"patch/random_gnp", 0xd52c15baa580a16dULL},
     {"patch/random_geometric", 0x159849d52b94ecc5ULL},
+    // Generated on the commit before the repair planners became
+    // word-parallel, with `MG_GOLDEN_PRINT=1`.
+    {"partial/path", 0xc428130eddd3caddULL},
+    {"partial/cycle", 0x2df3416b2ba0a989ULL},
+    {"partial/star", 0x07eaafc055de3fafULL},
+    {"partial/complete", 0xc657e9b5ca41c8b9ULL},
+    {"partial/binary_tree", 0xd348f34dca582676ULL},
+    {"partial/ternary_tree", 0xa653a4b75a5885afULL},
+    {"partial/grid", 0x64918c4604419ca9ULL},
+    {"partial/torus", 0x9b4063014a1ca09dULL},
+    {"partial/caterpillar", 0x9b6989ca384ebb58ULL},
+    {"partial/random_tree", 0x3e7f1b68d257e286ULL},
+    {"partial/random_gnp", 0x9f81e859cb4ded2bULL},
+    {"partial/random_geometric", 0x5ef648ae1d03d858ULL},
+    {"partial/dead", 0x6f3c39cbae2bc8d0ULL},
+    {"partial/split_grid", 0xd39f646c6d431fd6ULL},
+    {"partial/wide", 0xad7f18e10367d5c9ULL},
+    {"partial/high_degree", 0x1017c6b2e902f7d7ULL},
+    {"solve_with_recovery/repairs", 0x8a0142779881afd4ULL},
+    {"dist/emergent", 0xdbcd599b98c47ce9ULL},
+    {"dist/repair", 0xb943204199875013ULL},
+    {"dist/counts", 0xe105130df3638df3ULL},
 };
 
 TEST(ScheduleGolden, EveryDigestMatches) {
