@@ -18,11 +18,20 @@
 // run does not complete, or a fault-free ConcurrentUpDown execution does
 // not span exactly n + r rounds (Theorem 1).
 //
+// The `recovery` section runs the decentralized recovery plane: the online
+// rule on random geometric networks under 1% drops plus a crash of the
+// tree root at mid-horizon, serially and on the pool.  It records both
+// wall times, the recovery cycles, control messages per data message and
+// the per-cycle latency quantiles of `dist.recovery_round_ns`, and gates
+// on `recovered` and on serial == threaded (equivalent emergent and repair
+// schedules, equal RunReport counters) — never on time.
+//
 //   dist_bench [--out FILE] [--threads N] [--quick]
 //
 // --out      output path (default BENCH_dist.json)
 // --threads  worker count for the threaded rows (default 4)
-// --quick    cycle + Petersen only (CI-friendly)
+// --quick    cycle + Petersen only, recovery at n = 64 (CI-friendly)
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,17 +40,116 @@
 #include <vector>
 
 #include "dist/runtime.h"
+#include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "sim/network_sim.h"
+#include "support/rng.h"
 #include "support/stopwatch.h"
 
 namespace {
 
 using namespace mg;
+
+/// Equal RunReport counters and equivalent schedules: what a threaded run
+/// must reproduce of the serial one.
+bool same_execution(const dist::RunReport& a, const dist::RunReport& b) {
+  return model::equivalent(a.emergent, b.emergent) &&
+         model::equivalent(a.repair, b.repair) && a.horizon == b.horizon &&
+         a.recovery_rounds == b.recovery_rounds && a.messages == b.messages &&
+         a.deliveries == b.deliveries &&
+         a.control_messages == b.control_messages &&
+         a.injected_drops == b.injected_drops &&
+         a.crashed_sends == b.crashed_sends &&
+         a.skipped_sends == b.skipped_sends &&
+         a.lost_receives == b.lost_receives && a.complete == b.complete &&
+         a.recovered == b.recovered && a.coverage == b.coverage &&
+         a.crashed == b.crashed && a.missing == b.missing &&
+         a.causal.size() == b.causal.size();
+}
+
+/// Writes the `recovery` section's rows; false when any row fails its gate.
+bool run_recovery(obs::JsonWriter& w, std::size_t threads, bool quick) {
+  const graph::Vertex n = quick ? 64 : 256;
+  constexpr std::size_t kNetworks = 2;
+  obs::Registry& registry = obs::Registry::global();
+  bool all_ok = true;
+  w.key("recovery").begin_array();
+  for (std::size_t k = 0; k < kNetworks; ++k) {
+    registry.reset();
+    // Connectivity radius sqrt(2 ln n / (pi n)), as in the heal workload.
+    const double nd = static_cast<double>(n);
+    Rng rng(0x4ea1ULL + k);
+    const graph::Graph g = graph::random_geometric(
+        n, std::sqrt(2.0 * std::log(nd) / (3.14159265358979 * nd)), rng);
+    const gossip::Instance instance = gossip::Instance::from_network(g);
+    const std::size_t horizon = n + instance.radius();
+    fault::FaultPlan plan;
+    plan.drop_rate(0.01).seed(0xd20bULL + k).crash(instance.tree().root(),
+                                                    horizon / 2);
+
+    const auto run_dist = [&](std::size_t workers) {
+      dist::RuntimeOptions options;
+      options.faults = &plan;
+      options.threads = workers;
+      dist::ActorRuntime runtime(instance, g, options);
+      runtime.use_online_rule();
+      Stopwatch watch;
+      dist::RunReport run = runtime.run(horizon);
+      return std::make_pair(
+          static_cast<std::uint64_t>(watch.seconds() * 1e9), std::move(run));
+    };
+    const auto [serial_ns, serial_run] = run_dist(0);
+    const auto [threaded_ns, threaded_run] = run_dist(threads);
+    const bool equivalent = same_execution(serial_run, threaded_run);
+    const bool row_ok = serial_run.recovered && equivalent;
+    all_ok = all_ok && row_ok;
+
+    const obs::HistogramSnapshot cycle_hist =
+        registry.snapshot().histogram("dist.recovery_round_ns");
+    const std::string name = "geometric/n=" + std::to_string(n) + "/" +
+                             std::to_string(k);
+    w.begin_object();
+    w.field("name", name);
+    w.field("n", static_cast<std::uint64_t>(n));
+    w.field("r", static_cast<std::uint64_t>(instance.radius()));
+    w.field("horizon", static_cast<std::uint64_t>(horizon));
+    w.field("drop_rate", 0.01);
+    w.field("crashed_root", static_cast<std::uint64_t>(instance.tree().root()));
+    w.field("dist_serial_ns", serial_ns);
+    w.field("dist_threaded_ns", threaded_ns);
+    w.field("recovery_rounds",
+            static_cast<std::uint64_t>(serial_run.recovery_rounds));
+    w.field("messages", static_cast<std::uint64_t>(serial_run.messages));
+    w.field("control_messages",
+            static_cast<std::uint64_t>(serial_run.control_messages));
+    w.field("control_per_data",
+            serial_run.messages == 0
+                ? 0.0
+                : static_cast<double>(serial_run.control_messages) /
+                      static_cast<double>(serial_run.messages));
+    // Both executions feed the per-cycle histogram.
+    w.field("recovery_round_samples", cycle_hist.count);
+    w.field("recovery_round_ns_p50", cycle_hist.p50);
+    w.field("recovery_round_ns_p99", cycle_hist.p99);
+    w.field("coverage", serial_run.coverage);
+    w.field("recovered", serial_run.recovered);
+    w.field("serial_equals_threaded", equivalent);
+    w.end_object();
+
+    std::printf("recovery %-20s cycles=%3zu serial=%10llu ns threaded=%10llu "
+                "ns %s\n",
+                name.c_str(), serial_run.recovery_rounds,
+                static_cast<unsigned long long>(serial_ns),
+                static_cast<unsigned long long>(threaded_ns),
+                row_ok ? "ok" : "VIOLATION");
+  }
+  w.end_array();
+  return all_ok;
+}
 
 int run(const std::string& out_path, std::size_t threads, bool quick) {
   std::vector<std::pair<std::string, graph::Graph>> graphs = {
@@ -161,6 +269,7 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   }
 
   w.end_array();
+  const bool recovery_ok = run_recovery(w, threads, quick);
   w.end_object();
   out << '\n';
 
@@ -169,9 +278,13 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
     std::fprintf(stderr,
                  "dist_bench: emergent schedule diverged, run incomplete, "
                  "or n + r violated\n");
-    return 1;
   }
-  return 0;
+  if (!recovery_ok) {
+    std::fprintf(stderr,
+                 "dist_bench: a recovery row did not recover, or its "
+                 "threaded run differs from the serial one\n");
+  }
+  return all_ok && recovery_ok ? 0 : 1;
 }
 
 }  // namespace

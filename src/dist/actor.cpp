@@ -1,6 +1,7 @@
 #include "dist/actor.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/contracts.h"
@@ -9,18 +10,6 @@ namespace mg::dist {
 
 using graph::Vertex;
 using model::Message;
-
-namespace {
-
-/// Bit `m` of a digest's word vector (false past the end — a shorter
-/// digest simply offers nothing there).
-bool digest_test(const std::vector<std::uint64_t>& words, Message m) {
-  const std::size_t w = static_cast<std::size_t>(m) >> 6;
-  if (w >= words.size()) return false;
-  return (words[w] >> (m & 63)) & 1;
-}
-
-}  // namespace
 
 TimetableRule::TimetableRule(const model::Schedule& schedule,
                              graph::Vertex self)
@@ -99,17 +88,18 @@ void ProcessorActor::learn(const std::vector<Envelope>& inbox) {
   }
 }
 
-Outbox ProcessorActor::step_digest() {
+Outbox ProcessorActor::step_digest(std::span<std::uint64_t> snapshot) {
+  const std::vector<std::uint64_t>& words = holds_.words();
+  MG_EXPECTS(snapshot.size() == words.size());
+  std::copy(words.begin(), words.end(), snapshot.begin());
   Outbox out;
   out.control_cause = last_trace_;
   Envelope digest;
   digest.kind = Envelope::Kind::kDigest;
   digest.sender = self_;
-  digest.digest = holds_.words();
-  for (const Vertex u : neighbors_) {
-    out.control.push_back(digest);
-    out.control_to.push_back(u);
-  }
+  digest.digest = snapshot;
+  out.control.assign(neighbors_.size(), digest);
+  out.control_to = neighbors_;
   return out;
 }
 
@@ -123,6 +113,11 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
 
   // Which live neighbor offers the most messages I lack?  (A neighbor
   // whose digest is absent is presumed crashed.)
+  // Offers count word by word; a digest shorter than the hold set offers
+  // nothing past its end, and bits past message n_ - 1 never count.
+  const std::vector<std::uint64_t>& mine = holds_.words();
+  const std::uint64_t last_word_mask =
+      n_ % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n_ % 64)) - 1;
   Vertex best = graph::kNoVertex;
   std::size_t best_offered = 0;
   Message best_request = 0;
@@ -131,15 +126,16 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
     if (e.kind != Envelope::Kind::kDigest) continue;
     std::size_t offered = 0;
     Message lowest = 0;
-    bool any = false;
-    for (Message m = 0; m < n_; ++m) {
-      if (!holds_.test(m) && digest_test(e.digest, m)) {
-        ++offered;
-        if (!any) {
-          lowest = m;
-          any = true;
-        }
+    const std::size_t words = std::min(e.digest.size(), mine.size());
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t offer = e.digest[w] & ~mine[w];
+      if (w + 1 == mine.size()) offer &= last_word_mask;
+      if (offer == 0) continue;
+      if (offered == 0) {
+        lowest = static_cast<Message>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(offer)));
       }
+      offered += static_cast<std::size_t>(std::popcount(offer));
     }
     if (offered > best_offered ||
         (offered == best_offered && offered > 0 && e.sender < best)) {

@@ -23,13 +23,17 @@
 // digest / grant / data cycle per repair round — every decision is local:
 //
 //  1. digest — every live actor multicasts its hold bitmap to its network
-//     neighbors.  A neighbor whose digest is missing is presumed crashed
-//     (heartbeat failure detection).
+//     neighbors: it snapshots its hold words once into its own row of the
+//     runtime's arena, and every digest envelope views that row.  A
+//     neighbor whose digest is missing is presumed crashed (heartbeat
+//     failure detection).
 //  2. grant — an actor still missing messages picks the neighbor whose
 //     digest offers the most of them (ties: lowest id), and reserves it
-//     with a grant naming one wanted message (lowest id offered).  One
-//     grant per receiver per cycle, so data-round D sets are disjoint by
-//     construction — the emergent repair schedule is model-valid.
+//     with a grant naming one wanted message (lowest id offered).  Offers
+//     are counted 64 messages at a time, as popcount(digest & ~holds) per
+//     word.  One grant per receiver per cycle, so data-round D sets are
+//     disjoint by construction — the emergent repair schedule is
+//     model-valid.
 //  3. data — each granted actor sends the message requested by the most of
 //     its granters (ties: lowest id) to exactly the granters that requested
 //     it.  Every data round delivers at least one new (processor, message)
@@ -43,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dist/mailbox.h"
@@ -153,8 +158,10 @@ class ProcessorActor {
 
   // --- recovery subrounds (each reads the previous subround's inbox) ------
 
-  /// Subround 1: multicast own hold bitmap to every network neighbor.
-  [[nodiscard]] Outbox step_digest();
+  /// Subround 1: copy the hold words into `snapshot` (this actor's row of
+  /// the runtime's arena, one word per 64 messages) and multicast a view
+  /// of it to every network neighbor.
+  [[nodiscard]] Outbox step_digest(std::span<std::uint64_t> snapshot);
 
   /// Subround 2: read neighbor digests, reserve the best offering neighbor.
   [[nodiscard]] Outbox step_grant(const std::vector<Envelope>& inbox);

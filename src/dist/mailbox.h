@@ -17,21 +17,25 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
 #include "model/schedule.h"
+#include "support/contracts.h"
 #include "support/rng.h"
 
 namespace mg::dist {
 
 /// One message on the (in-process) wire.  Data envelopes carry a gossip
 /// message; digest/grant envelopes are the decentralized recovery
-/// protocol's control plane (see actor.h).
+/// protocol's control plane (see actor.h).  Trivially copyable: a digest
+/// is a view of its sender's snapshot row, not a copy of the bitmap.
 struct Envelope {
   enum class Kind : std::uint8_t {
     kData = 0,    ///< a gossip message (the only kind the timeline sees)
-    kDigest = 1,  ///< recovery: sender's hold bitmap (words)
+    kDigest = 1,  ///< recovery: view of the sender's hold-bitmap snapshot
     kGrant = 2,   ///< recovery: receiver-side reservation of one sender
   };
   Kind kind = Kind::kData;
@@ -47,8 +51,12 @@ struct Envelope {
   /// delivery order — ids are themselves deterministic under a fixed seed,
   /// but actors must not decide from them.
   std::uint64_t trace = 0;
-  std::vector<std::uint64_t> digest;  ///< hold bitmap words for kDigest
+  /// kDigest: the sender's hold words as of its digest subround, in the
+  /// runtime's snapshot arena (see ActorRuntime::run).  Valid until the
+  /// sender's next digest subround.
+  std::span<const std::uint64_t> digest;
 };
+static_assert(std::is_trivially_copyable_v<Envelope>);
 
 /// Canonical order erasing the posting interleaving.
 inline bool envelope_less(const Envelope& a, const Envelope& b) {
@@ -75,9 +83,14 @@ class MailboxBus {
   MailboxBus& operator=(const MailboxBus&) = delete;
 
   /// Posts `e` to `to`, arriving `delay` rounds after the next barrier
-  /// (0 = the normal send-at-t, receive-at-t+1 latency).  Thread-safe;
-  /// concurrent posters to mailboxes in different stripes never contend.
+  /// (0 = the normal send-at-t, receive-at-t+1 latency).  Only data may be
+  /// delayed: a control envelope is read at the very next barrier, which
+  /// is what lets a digest view its sender's snapshot row instead of
+  /// copying it.  Thread-safe; concurrent posters to mailboxes in
+  /// different stripes never contend.
   void post(graph::Vertex to, std::size_t delay, Envelope e) {
+    MG_EXPECTS_MSG(delay == 0 || e.kind == Envelope::Kind::kData,
+                   "control envelopes travel with zero delay");
     std::lock_guard<std::mutex> lock(
         stripes_[static_cast<std::size_t>(to) / kStripeSize].mutex);
     box(to, (cursor_ + delay) % slots_).push_back(std::move(e));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -260,6 +261,32 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     return true;
   };
 
+  // Stamps actor v's control batch (one digest fan-out or one grant) with
+  // one trace id, records its causal link, and stages the envelopes bound
+  // for live receivers; control envelopes to dead receivers just
+  // evaporate.  Serial.  True when anything was staged.
+  auto capture_control = [&](Vertex v, std::size_t abs_t,
+                             CausalLink::Kind kind) {
+    Outbox& o = out[v];
+    report.control_messages += o.control.size();
+    bool staged = false;
+    if (!o.control.empty()) {
+      // One id per batch: a multicast is one logical message.
+      const std::uint64_t id = ++next_trace;
+      report.causal.push_back({id, o.control_cause, kind, abs_t, v,
+                               o.control.front().message, o.control.size()});
+      mirror_causal(report.causal.back());
+      for (std::size_t c = 0; c < o.control.size(); ++c) {
+        if (!live_at(o.control_to[c], abs_t)) continue;
+        o.control[c].trace = id;
+        wire[v].emplace_back(o.control_to[c], 0, o.control[c]);
+        staged = true;
+      }
+    }
+    o = Outbox{};
+    return staged;
+  };
+
   std::size_t end_abs = horizon;
   if (im.options.recover && !all_live_complete(horizon)) {
     const std::size_t hard_cap =
@@ -267,38 +294,32 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     const std::size_t budget = im.options.extra_round_budget > 0
                                    ? im.options.extra_round_budget
                                    : hard_cap;
+    // Digest snapshot arena: row v holds actor v's hold words as of its
+    // latest digest subround, and every digest envelope v sends is a view
+    // of that row.  Control envelopes travel with zero delay
+    // (MailboxBus::post asserts it), so a digest is read only in the grant
+    // subround of its own cycle, before its sender's next digest subround
+    // rewrites the row.  The row is a copy: an actor that learns delayed
+    // data in its own grant step never changes what its neighbors read.
+    const std::size_t row_words = (static_cast<std::size_t>(n) + 63) / 64;
+    std::vector<std::uint64_t> snapshots(n * row_words);
     for (std::size_t q = 0; q < budget; ++q) {
       const std::size_t abs_t = horizon + q;
       end_abs = abs_t;
+      Stopwatch cycle_watch;
       // Fold the previous cycle's data arrivals in, then digest.
       bus.flip(barrier++);
       im.for_each_actor([&](std::size_t v) {
         const auto vertex = static_cast<Vertex>(v);
         im.actors[v].learn(bus.inbox(vertex));
-        out[v] = live_at(vertex, abs_t) ? im.actors[v].step_digest()
-                                        : Outbox{};
+        out[v] = live_at(vertex, abs_t)
+                     ? im.actors[v].step_digest(std::span(snapshots).subspan(
+                           v * row_words, row_words))
+                     : Outbox{};
       });
       if (all_live_complete(abs_t)) break;
       for (Vertex v = 0; v < n; ++v) {
-        report.control_messages += out[v].control.size();
-        if (!out[v].control.empty()) {
-          // One id per digest fan-out: a multicast is one logical message.
-          const std::uint64_t id = ++next_trace;
-          report.causal.push_back({id, out[v].control_cause,
-                                   CausalLink::Kind::kDigest, abs_t,
-                                   static_cast<Vertex>(v), 0,
-                                   out[v].control.size()});
-          mirror_causal(report.causal.back());
-          for (Envelope& e : out[v].control) e.trace = id;
-        }
-        for (std::size_t c = 0; c < out[v].control.size(); ++c) {
-          // Control envelopes to dead receivers just evaporate.
-          if (live_at(out[v].control_to[c], abs_t)) {
-            wire[v].emplace_back(out[v].control_to[c], 0,
-                                 std::move(out[v].control[c]));
-          }
-        }
-        out[v] = Outbox{};
+        (void)capture_control(v, abs_t, CausalLink::Kind::kDigest);
       }
       route_wire();
 
@@ -311,25 +332,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       });
       bool any_grant = false;
       for (Vertex v = 0; v < n; ++v) {
-        report.control_messages += out[v].control.size();
-        if (!out[v].control.empty()) {
-          const std::uint64_t id = ++next_trace;
-          report.causal.push_back({id, out[v].control_cause,
-                                   CausalLink::Kind::kGrant, abs_t,
-                                   static_cast<Vertex>(v),
-                                   out[v].control.front().message,
-                                   out[v].control.size()});
-          mirror_causal(report.causal.back());
-          for (Envelope& e : out[v].control) e.trace = id;
-        }
-        for (std::size_t c = 0; c < out[v].control.size(); ++c) {
-          if (live_at(out[v].control_to[c], abs_t)) {
-            any_grant = true;
-            wire[v].emplace_back(out[v].control_to[c], 0,
-                                 std::move(out[v].control[c]));
-          }
-        }
-        out[v] = Outbox{};
+        any_grant |= capture_control(v, abs_t, CausalLink::Kind::kGrant);
       }
       if (!any_grant) break;  // quiescence == component closure reached
       route_wire();
@@ -347,6 +350,8 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       }
       ++report.recovery_rounds;
       route_wire();
+      MG_OBS_HIST("dist.recovery_round_ns",
+                  static_cast<std::uint64_t>(cycle_watch.seconds() * 1e9));
     }
     // Absorb the final cycle's in-flight data.
     for (std::size_t a = 0; a <= max_delay; ++a) {
@@ -394,9 +399,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       DynamicBitset closure(n);
       for (std::size_t head = 0; head < component.size(); ++head) {
         const Vertex v = component[head];
-        for (Message m = 0; m < n; ++m) {
-          if (im.actors[v].holds().test(m)) closure.set(m);
-        }
+        closure |= im.actors[v].holds();
         for (const Vertex u : im.network->neighbors(v)) {
           if (alive[u] && !seen[u]) {
             seen[u] = 1;
@@ -404,8 +407,9 @@ RunReport ActorRuntime::run(std::size_t horizon) {
           }
         }
       }
+      const std::size_t closure_size = closure.count();
       for (const Vertex v : component) {
-        if (im.actors[v].holds().count() != closure.count()) {
+        if (im.actors[v].holds().count() != closure_size) {
           report.recovered = false;
           break;
         }

@@ -1,6 +1,8 @@
 #include "gossip/recovery.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "model/validator.h"
@@ -65,14 +67,83 @@ std::size_t outstanding_pairs(const SurvivorClosure& sc,
   return outstanding;
 }
 
+/// Per-message counters, bit-sliced over 64-message words: plane p holds
+/// bit p of every message's count, so adding a mask of messages is one
+/// ripple-carry per word.  Counts stay below 2^planes when every count is
+/// at most `max_count` and planes = bit_width(max_count).
+class WantCounts {
+ public:
+  WantCounts(std::size_t words, std::size_t max_count)
+      : words_(words),
+        planes_(static_cast<std::size_t>(std::bit_width(max_count))),
+        counts_(planes_ * words),
+        nonzero_(words) {}
+
+  void clear() {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    std::fill(nonzero_.begin(), nonzero_.end(), 0);
+  }
+
+  /// Counts once every message of `have & ~lack`.  True when any was.
+  bool add_missing(const std::vector<std::uint64_t>& have,
+                   const std::vector<std::uint64_t>& lack) {
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t carry = have[w] & ~lack[w];
+      any |= carry;
+      nonzero_[w] |= carry;
+      for (std::size_t p = 0; p < planes_ && carry != 0; ++p) {
+        std::uint64_t& plane = counts_[p * words_ + w];
+        const std::uint64_t next = plane & carry;
+        plane ^= carry;
+        carry = next;
+      }
+    }
+    return any != 0;
+  }
+
+  /// The smallest message with the largest count; some count must be
+  /// non-zero.  From the top plane down, keep the surviving messages that
+  /// have the plane's bit whenever any of them has it.
+  [[nodiscard]] Message argmax() {
+    for (std::size_t p = planes_; p-- > 0;) {
+      const std::uint64_t* plane = counts_.data() + p * words_;
+      bool hit = false;
+      for (std::size_t w = 0; w < words_ && !hit; ++w) {
+        hit = (nonzero_[w] & plane[w]) != 0;
+      }
+      if (!hit) continue;
+      for (std::size_t w = 0; w < words_; ++w) nonzero_[w] &= plane[w];
+    }
+    for (std::size_t w = 0; w < words_; ++w) {
+      if (nonzero_[w] != 0) {
+        return static_cast<Message>(w * 64 + static_cast<std::size_t>(
+                                                 std::countr_zero(nonzero_[w])));
+      }
+    }
+    MG_ASSERT_MSG(false, "argmax over all-zero counts");
+    return 0;
+  }
+
+ private:
+  std::size_t words_;
+  std::size_t planes_;
+  std::vector<std::uint64_t> counts_;   ///< counts_[p * words_ + w]
+  std::vector<std::uint64_t> nonzero_;  ///< messages with a non-zero count
+};
+
 }  // namespace
 
 std::vector<std::vector<Message>> holds_to_initial_sets(
     const std::vector<DynamicBitset>& holds) {
   std::vector<std::vector<Message>> sets(holds.size());
   for (std::size_t v = 0; v < holds.size(); ++v) {
-    for (std::size_t m = 0; m < holds[v].size(); ++m) {
-      if (holds[v].test(m)) sets[v].push_back(static_cast<Message>(m));
+    const std::vector<std::uint64_t>& words = holds[v].words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        sets[v].push_back(static_cast<Message>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
     }
   }
   return sets;
@@ -94,6 +165,15 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
   std::vector<DynamicBitset> state = holds;
   std::size_t outstanding = outstanding_pairs(sc, state, live);
 
+  // Each sender counts, per message, the free live neighbors that lack
+  // it; no count exceeds the maximum degree.
+  std::size_t max_degree = 0;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    max_degree = std::max(max_degree, g.neighbors(v).size());
+  }
+  WantCounts wants((message_count + 63) / 64, max_degree);
+  std::vector<graph::Vertex> receivers;
+
   model::ScheduleBuilder schedule;
   std::size_t t = 0;
   const std::size_t safety_limit = message_count * n + 8;
@@ -106,43 +186,27 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
 
     for (graph::Vertex v = 0; v < n; ++v) {
       if (!live[v]) continue;
-      // Pick the held message wanted by the most currently-free live
-      // neighbors.  Any message v holds is inside its neighbors' closure
-      // (same component), so "u misses m" is exactly "u wants m".
-      Message best_message = 0;
-      std::vector<graph::Vertex> best_receivers;
-      // Candidate messages: those missing from at least one free neighbor.
-      // Iterate neighbors' missing bits rather than all messages.
-      std::vector<Message> candidates;
-      for (graph::Vertex u : g.neighbors(v)) {
+      // Send the held message wanted by the most currently-free live
+      // neighbors, smallest id on ties.  Any message v holds is inside its
+      // neighbors' closure (same component), so "u misses m" is exactly
+      // "u wants m".
+      wants.clear();
+      bool wanted = false;
+      for (const graph::Vertex u : g.neighbors(v)) {
         if (!live[u] || receiving[u]) continue;
-        for (std::size_t m = 0; m < message_count; ++m) {
-          if (state[v].test(m) && !state[u].test(m)) {
-            candidates.push_back(static_cast<Message>(m));
-          }
+        wanted |= wants.add_missing(state[v].words(), state[u].words());
+      }
+      if (!wanted) continue;
+      const Message best_message = wants.argmax();
+      receivers.clear();
+      for (const graph::Vertex u : g.neighbors(v)) {
+        if (live[u] && !receiving[u] && !state[u].test(best_message)) {
+          receivers.push_back(u);
+          receiving[u] = 1;
+          arrivals.emplace_back(u, best_message);
         }
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (Message m : candidates) {
-        std::vector<graph::Vertex> receivers;
-        for (graph::Vertex u : g.neighbors(v)) {
-          if (live[u] && !receiving[u] && !state[u].test(m)) {
-            receivers.push_back(u);
-          }
-        }
-        if (receivers.size() > best_receivers.size()) {
-          best_receivers = std::move(receivers);
-          best_message = m;
-        }
-      }
-      if (best_receivers.empty()) continue;
-      for (graph::Vertex u : best_receivers) {
-        receiving[u] = 1;
-        arrivals.emplace_back(u, best_message);
-      }
-      schedule.add(t, best_message, v, best_receivers);
+      schedule.add(t, best_message, v, receivers);
     }
 
     MG_ASSERT_MSG(!arrivals.empty(),
@@ -164,11 +228,9 @@ model::Schedule greedy_completion_schedule(
   for (const auto& h : holds) MG_EXPECTS(h.size() == message_count);
 
   // Every message must be known somewhere, or completion is impossible.
-  for (std::size_t m = 0; m < message_count; ++m) {
-    bool known = false;
-    for (graph::Vertex v = 0; v < n && !known; ++v) known = holds[v].test(m);
-    MG_EXPECTS_MSG(known, "a message is known to no processor");
-  }
+  DynamicBitset known(message_count);
+  for (const auto& h : holds) known |= h;
+  MG_EXPECTS_MSG(known.all(), "a message is known to no processor");
 
   // Full completion further requires every component to reach every
   // message; on a connected graph this follows from the check above.

@@ -10,9 +10,12 @@
 //    that finishes the gossip on the *original network* (not just the tree
 //    — recovery may route around a lossy branch).  The builder is a greedy
 //    maximal-multicast flood: each round, every processor picks the held
-//    message wanted by the most still-free needy neighbors, conflicts
-//    resolved greedily; it terminates because some wanting receiver with a
-//    knowing neighbor always exists while any reachable gap remains.  The
+//    message wanted by the most still-free needy neighbors (smallest id on
+//    ties), conflicts resolved greedily; it terminates because some
+//    wanting receiver with a knowing neighbor always exists while any
+//    reachable gap remains.  The wanted counts are bit-sliced counters
+//    over 64-message words, so a round costs O(m · ⌈messages/64⌉ · log Δ)
+//    word operations (Δ = maximum degree).  The
 //    partial form accepts dead processors and disconnected survivor
 //    graphs: each component floods to its *achievable closure* (the union
 //    of what its members know) and unreachable gaps are reported, not

@@ -216,7 +216,7 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
       std::size_t score = 0;
       for (const Vertex r : g.neighbors(v)) {
         const auto* hr = &hold[static_cast<std::size_t>(r) * words];
-        score += ((hr[chosen >> 6] >> (chosen & 63)) & 1) == 0 ? 1 : 0;
+        score += ((hr[chosen >> 6] >> (chosen & 63)) & 1) == 0 ? 1u : 0u;
       }
       candidates.push_back({v, chosen, score});
     }

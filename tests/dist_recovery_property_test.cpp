@@ -17,9 +17,13 @@
 // docs/DISTRIBUTED.md).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "dist/actor.h"
 #include "dist/runtime.h"
 #include "fault/fault.h"
 #include "gossip/recovery.h"
@@ -301,6 +305,129 @@ TEST(DistRecoveryProperty, DeterministicUnderSeedAndThreads) {
     EXPECT_EQ(a.run.recovery_rounds, b.run.recovery_rounds);
     EXPECT_DOUBLE_EQ(a.run.coverage, b.run.coverage);
   }
+}
+
+/// Hold words for a 130-message digest with exactly `messages` set.
+std::vector<std::uint64_t> digest_words(
+    std::initializer_list<model::Message> messages) {
+  std::vector<std::uint64_t> words(3, 0);
+  for (const model::Message m : messages) {
+    words[m / 64] |= std::uint64_t{1} << (m % 64);
+  }
+  return words;
+}
+
+Envelope digest_from(graph::Vertex sender,
+                     const std::vector<std::uint64_t>& words,
+                     std::uint64_t trace) {
+  Envelope e;
+  e.kind = Envelope::Kind::kDigest;
+  e.sender = sender;
+  e.trace = trace;
+  e.digest = words;
+  return e;
+}
+
+/// Actor 5 of 130, holding only its own message 5 (digests arrive from
+/// whoever the test says; neighbors only matter for step_digest).
+ProcessorActor grant_actor() {
+  return ProcessorActor(5, 130, 5, {},
+                        std::make_unique<TimetableRule>(model::Schedule{}, 5));
+}
+
+/// The one grant `out` carries: (granted sender, requested message).
+std::pair<graph::Vertex, model::Message> only_grant(const Outbox& out) {
+  EXPECT_EQ(out.control.size(), 1u);
+  EXPECT_EQ(out.control_to.size(), 1u);
+  if (out.control.size() != 1 || out.control_to.size() != 1) return {};
+  EXPECT_EQ(out.control[0].kind, Envelope::Kind::kGrant);
+  EXPECT_EQ(out.control[0].sender, 5u);
+  return {out.control_to[0], out.control[0].message};
+}
+
+TEST(DistRecoveryProperty, GrantRequestsLowestOfferedAcrossWordEdges) {
+  // One offered message at a time, on both sides of each word boundary
+  // and at the last valid bit.
+  for (const model::Message m : {0u, 63u, 64u, 127u, 128u, 129u}) {
+    SCOPED_TRACE("offer " + std::to_string(m));
+    ProcessorActor actor = grant_actor();
+    const auto words = digest_words({5, m});
+    const Outbox out = actor.step_grant({digest_from(9, words, 77)});
+    EXPECT_FALSE(actor.quiescent());
+    EXPECT_EQ(only_grant(out), std::make_pair(graph::Vertex{9}, m));
+    EXPECT_EQ(out.control_cause, 77u);
+  }
+  // Several offers spanning all three words: the lowest is requested.
+  ProcessorActor actor = grant_actor();
+  const auto words = digest_words({129, 64, 63});
+  EXPECT_EQ(only_grant(actor.step_grant({digest_from(2, words, 1)})),
+            std::make_pair(graph::Vertex{2}, model::Message{63}));
+}
+
+TEST(DistRecoveryProperty, GrantPicksTheLargestOfferThenTheLowestSender) {
+  // Sender 11 offers three messages, sender 3 two, sender 8 one: the
+  // count decides, not the id.
+  {
+    ProcessorActor actor = grant_actor();
+    const auto a = digest_words({64, 100, 129});
+    const auto b = digest_words({1, 2});
+    const auto c = digest_words({0});
+    const Outbox out = actor.step_grant(
+        {digest_from(3, b, 1), digest_from(11, a, 2), digest_from(8, c, 3)});
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{11}, model::Message{64}));
+    EXPECT_EQ(out.control_cause, 2u);
+  }
+  // Senders 9 and 4 offer two messages each: the lower sender wins with
+  // its lowest offered message, whatever order the inbox holds them in.
+  const auto high = digest_words({5, 10, 100});
+  const auto low = digest_words({70, 129});
+  for (const bool low_first : {false, true}) {
+    SCOPED_TRACE(low_first ? "low sender first" : "high sender first");
+    ProcessorActor actor = grant_actor();
+    std::vector<Envelope> inbox = {digest_from(9, high, 1),
+                                   digest_from(4, low, 2)};
+    if (low_first) std::swap(inbox[0], inbox[1]);
+    const Outbox out = actor.step_grant(inbox);
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{4}, model::Message{70}));
+    EXPECT_EQ(out.control_cause, 2u);
+  }
+}
+
+TEST(DistRecoveryProperty, DigestOfferingNothingLeavesTheActorQuiescent) {
+  ProcessorActor actor = grant_actor();
+  // Offers only what the actor already holds, plus bits past message 129
+  // that no 130-message hold set can contain.
+  auto words = digest_words({5});
+  words[2] |= ~std::uint64_t{0} << 2;
+  const Outbox out = actor.step_grant({digest_from(1, words, 4)});
+  EXPECT_TRUE(out.control.empty());
+  EXPECT_TRUE(out.control_to.empty());
+  EXPECT_TRUE(actor.quiescent());
+}
+
+TEST(DistRecoveryProperty, DigestSnapshotIsACopyOfTheHoldWords) {
+  // step_digest writes the hold words into the caller's row once and
+  // every neighbor's envelope views that row.
+  ProcessorActor actor(5, 130, 5, {1, 2, 3},
+                       std::make_unique<TimetableRule>(model::Schedule{}, 5));
+  std::vector<std::uint64_t> row(3, ~std::uint64_t{0});
+  const Outbox out = actor.step_digest(row);
+  EXPECT_EQ(row, actor.holds().words());
+  ASSERT_EQ(out.control.size(), 3u);
+  EXPECT_EQ(out.control_to, (std::vector<graph::Vertex>{1, 2, 3}));
+  for (const Envelope& e : out.control) {
+    EXPECT_EQ(e.kind, Envelope::Kind::kDigest);
+    EXPECT_EQ(e.digest.data(), row.data());
+    EXPECT_EQ(e.digest.size(), row.size());
+  }
+  // Learning afterwards changes the actor, not the snapshot it sent.
+  Envelope data;
+  data.message = 99;
+  actor.learn({data});
+  EXPECT_TRUE(actor.holds().test(99));
+  EXPECT_EQ(row, digest_words({5}));
 }
 
 }  // namespace

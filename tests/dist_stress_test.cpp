@@ -104,9 +104,25 @@ TEST(DistStress, WorkerCountNeverChangesTheExecution) {
     RuntimeOptions options;
     options.faults = &plan;
     options.threads = threads;
+#if MG_OBS_ENABLED
+    const std::uint64_t samples_before = obs::Registry::global()
+                                             .snapshot()
+                                             .histogram("dist.recovery_round_ns")
+                                             .count;
+#endif
     DistOutcome outcome =
         run_distributed(g, gossip::Algorithm::kUpDown, options);
     EXPECT_TRUE(outcome.run.complete);
+#if MG_OBS_ENABLED
+    // Drops only: recovery ends on completion, after its last data cycle;
+    // the cycle that finds everyone complete is not sampled.
+    EXPECT_EQ(obs::Registry::global()
+                      .snapshot()
+                      .histogram("dist.recovery_round_ns")
+                      .count -
+                  samples_before,
+              outcome.run.recovery_rounds);
+#endif
     if (!reference.has_value()) {
       reference.emplace(std::move(outcome));
     } else {
@@ -154,6 +170,10 @@ TEST(DistStress, RecoveryControlPlaneUnderThreadsAndLiveFaults) {
   EXPECT_EQ(delta("dist.deliveries"), outcome.run.deliveries);
   EXPECT_EQ(delta("dist.control_messages"), outcome.run.control_messages);
   EXPECT_EQ(delta("dist.recovery.rounds"), outcome.run.recovery_rounds);
+  // One recovery-cycle latency sample per completed digest/grant/data cycle.
+  EXPECT_EQ(after.histogram("dist.recovery_round_ns").count -
+                before.histogram("dist.recovery_round_ns").count,
+            outcome.run.recovery_rounds);
   EXPECT_EQ(delta("dist.injected_drops"), outcome.run.injected_drops);
   EXPECT_EQ(delta("dist.crashed_sends"), outcome.run.crashed_sends);
   EXPECT_EQ(delta("dist.lost_receives"), outcome.run.lost_receives);

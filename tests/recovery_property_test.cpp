@@ -8,17 +8,24 @@
 //       validator,
 //   (c) crash-partitioned runs degrade to an accurate partial-coverage
 //       report instead of an assertion.
+// It also keeps the per-bit greedy completion planner as a test-only
+// reference and checks the word-parallel `partial_completion_schedule`
+// against it tuple for tuple, in stored order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "gossip/recovery.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/named.h"
+#include "graph/properties.h"
 #include "model/validator.h"
+#include "sim/network_sim.h"
 #include "support/contracts.h"
 #include "support/rng.h"
 
@@ -92,6 +99,194 @@ fault::FaultPlan sweep_plan(std::uint64_t seed, const graph::Graph& g) {
     plan.delay(e.first, e.second, 1 + seed % 3);
   }
   return plan;
+}
+
+
+/// The greedy completion flood tested one hold bit at a time: each round,
+/// every live sender v in id order collects the messages it holds that a
+/// free live neighbor lacks, and sends the one most such neighbors lack
+/// (smallest id on ties) to exactly those neighbors.  Stops at the first
+/// round in which nobody sends, which is exactly when every live processor
+/// holds its component's closure.
+model::Schedule reference_completion(const graph::Graph& g,
+                                     std::vector<DynamicBitset> state,
+                                     std::vector<char> live) {
+  const graph::Vertex n = g.vertex_count();
+  const std::size_t message_count = n == 0 ? 0 : state[0].size();
+  if (live.empty()) live.assign(n, 1);
+  model::ScheduleBuilder schedule;
+  std::vector<char> receiving(n, 0);
+  std::vector<std::pair<graph::Vertex, model::Message>> arrivals;
+  for (std::size_t t = 0;; ++t) {
+    std::fill(receiving.begin(), receiving.end(), 0);
+    arrivals.clear();
+    for (graph::Vertex v = 0; v < n; ++v) {
+      if (!live[v]) continue;
+      std::vector<model::Message> candidates;
+      for (const graph::Vertex u : g.neighbors(v)) {
+        if (!live[u] || receiving[u]) continue;
+        for (std::size_t m = 0; m < message_count; ++m) {
+          if (state[v].test(m) && !state[u].test(m)) {
+            candidates.push_back(static_cast<model::Message>(m));
+          }
+        }
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+      model::Message best_message = 0;
+      std::vector<graph::Vertex> best_receivers;
+      for (const model::Message m : candidates) {
+        std::vector<graph::Vertex> receivers;
+        for (const graph::Vertex u : g.neighbors(v)) {
+          if (live[u] && !receiving[u] && !state[u].test(m)) {
+            receivers.push_back(u);
+          }
+        }
+        if (receivers.size() > best_receivers.size()) {
+          best_receivers = std::move(receivers);
+          best_message = m;
+        }
+      }
+      if (best_receivers.empty()) continue;
+      for (const graph::Vertex u : best_receivers) {
+        receiving[u] = 1;
+        arrivals.emplace_back(u, best_message);
+      }
+      schedule.add(t, best_message, v, best_receivers);
+    }
+    if (arrivals.empty()) break;
+    for (const auto& [u, m] : arrivals) state[u].set(m);
+  }
+  return schedule.build();
+}
+
+/// Tuple-for-tuple equality in stored order, receivers included; returns
+/// the rounds compared.
+std::size_t expect_same_stored(const model::Schedule& expected,
+                               const model::Schedule& actual) {
+  EXPECT_EQ(expected.round_count(), actual.round_count());
+  const std::size_t rounds =
+      std::min(expected.round_count(), actual.round_count());
+  for (std::size_t t = 0; t < rounds; ++t) {
+    const auto a = expected.round(t);
+    const auto b = actual.round(t);
+    EXPECT_EQ(a.size(), b.size()) << "round " << t;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      const auto ra = expected.receivers(a[i]);
+      const auto rb = actual.receivers(b[i]);
+      EXPECT_TRUE(a[i].sender == b[i].sender &&
+                  a[i].message == b[i].message &&
+                  std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+          << "round " << t << " tuple " << i;
+    }
+  }
+  return rounds;
+}
+
+/// One seeded degraded state for the stored-order comparison.
+struct PlannerCase {
+  graph::Graph g;
+  std::vector<DynamicBitset> holds;
+  std::vector<char> alive;  ///< empty = everyone alive
+};
+
+PlannerCase planner_case(std::uint64_t seed) {
+  Rng rng(0x91a2ULL * (seed + 1));
+  const auto n = static_cast<graph::Vertex>(8 + rng.below(60));
+  PlannerCase c;
+  graph::Vertex grid_cols = 0;
+  switch (seed % 5) {
+    case 0:
+      grid_cols = static_cast<graph::Vertex>(3 + rng.below(10));
+      c.g = graph::grid(static_cast<graph::Vertex>(4 + rng.below(4)),
+                        grid_cols);
+      break;
+    case 1:
+      c.g = graph::random_geometric(n, 0.15 + 0.1 * rng.uniform01(), rng);
+      break;
+    case 2:
+      c.g = graph::random_connected_gnp(n, 3.0 / static_cast<double>(n),
+                                        rng);
+      break;
+    case 3:
+      c.g = graph::random_regular(n + n % 2, seed % 2 == 0 ? 3 : 4, rng);
+      break;
+    default:
+      // Maximum degree >= 16: five or more counter planes.
+      c.g = seed % 2 == 0
+                ? graph::random_connected_gnp(std::max<graph::Vertex>(n, 40),
+                                              0.4, rng)
+                : graph::star(static_cast<graph::Vertex>(17 + n % 20));
+      break;
+  }
+  const graph::Vertex order = c.g.vertex_count();
+  // Every third case carries up to 69 more messages than processors.
+  const std::size_t messages =
+      order + (seed % 3 == 2 ? 1 + rng.below(69) : 0);
+  if (seed % 4 == 3 && messages == order) {
+    // What a faulty ConcurrentUpDown run on the tree leaves behind.
+    const gossip::Solution sol = gossip::solve_gossip(c.g);
+    fault::FaultPlan plan;
+    plan.drop_rate(0.1 + 0.3 * rng.uniform01()).seed(rng());
+    sim::SimOptions options;
+    options.faults = &plan;
+    c.holds = sim::simulate(sol.instance.tree().as_graph(), sol.schedule,
+                            sol.instance.initial(), options)
+                  .final_holds;
+  } else {
+    // Densities 0, 0.1, ..., 0.6; half the cases also hold their own id.
+    const double density = 0.1 * static_cast<double>(seed % 7);
+    c.holds.assign(order, DynamicBitset(messages));
+    for (graph::Vertex v = 0; v < order; ++v) {
+      if (seed % 2 == 0) c.holds[v].set(v);
+      for (std::size_t m = 0; m < messages; ++m) {
+        if (rng.chance(density)) c.holds[v].set(m);
+      }
+    }
+  }
+  if (seed % 2 == 1) {
+    c.alive.assign(order, 1);
+    if (grid_cols > 2 && seed % 4 == 1) {
+      // A dead middle column splits the grid's survivors in two.
+      for (graph::Vertex v = grid_cols / 2; v < order; v += grid_cols) {
+        c.alive[v] = 0;
+      }
+    } else {
+      for (auto& a : c.alive) a = rng.below(100) >= 15;
+    }
+  }
+  return c;
+}
+
+TEST(RecoveryProperty, PlannerMatchesPerBitReferenceInStoredOrder) {
+  constexpr std::uint64_t kCases = 520;
+  std::size_t rounds = 0;
+  std::size_t multi_word = 0;
+  std::size_t partial_word = 0;
+  std::size_t high_degree = 0;
+  std::size_t with_dead = 0;
+  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+    const PlannerCase c = planner_case(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " n=" +
+                 std::to_string(c.g.vertex_count()));
+    const model::Schedule expected =
+        reference_completion(c.g, c.holds, c.alive);
+    const model::Schedule actual =
+        partial_completion_schedule(c.g, c.holds, c.alive);
+    rounds += expect_same_stored(expected, actual);
+    const std::size_t messages = c.holds[0].size();
+    multi_word += messages > 64;
+    partial_word += messages % 64 != 0 && messages > 64;
+    high_degree += graph::degree_stats(c.g).max >= 16;
+    with_dead += !c.alive.empty();
+  }
+  // The sweep covers what it claims to cover.
+  EXPECT_GT(rounds, 5000u);
+  EXPECT_GT(multi_word, 100u);
+  EXPECT_GT(partial_word, 100u);
+  EXPECT_GT(high_degree, 50u);
+  EXPECT_GT(with_dead, 200u);
 }
 
 TEST(RecoveryProperty, SeededSweep64) {
