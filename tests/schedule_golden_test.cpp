@@ -21,6 +21,13 @@
 // their output, because the radio/beep legalizer packs rounds in stored
 // order.
 //
+// Center finding is pinned on graphs wider than one 64-bit word of BFS
+// sources: `find_center`'s (center, radius, diameter_lb, bfs_runs, pruned)
+// serially and on a 4-thread pool, `compute_metrics`' eccentricity arrays,
+// and the ConcurrentUpDown schedule of one n = 1024 network per family of
+// the repository benchmark's `solve` workload, which fixes center, tree,
+// labels and schedule end to end.
+//
 // To regenerate after an intended schedule change, run
 // `MG_GOLDEN_PRINT=1 ./schedule_golden_test` and paste the printed table.
 #include <gtest/gtest.h>
@@ -39,6 +46,7 @@
 #include "gossip/patch.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
+#include "graph/center.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "graph/properties.h"
@@ -48,6 +56,7 @@
 #include "support/bitset.h"
 #include "support/fingerprint.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "test_util.h"
 
 namespace mg {
@@ -98,11 +107,9 @@ std::vector<NamedGraph> named_graphs() {
           {"fig5", graph::fig5_tree()}};
 }
 
-/// The differential battery's seeded graphs (tests/differential_test.cpp).
-graph::Graph battery_graph(std::uint64_t seed) {
-  Rng rng(0xd1ffULL * (seed + 1));
-  const auto n = static_cast<graph::Vertex>(5 + (seed * 7) % 44);
-  switch (seed % 4) {
+/// One of the differential battery's four families on `n` vertices.
+graph::Graph battery_family(graph::Vertex n, std::uint64_t family, Rng& rng) {
+  switch (family % 4) {
     case 0:
       return graph::random_connected_gnp(n, 3.0 / static_cast<double>(n),
                                          rng);
@@ -114,6 +121,13 @@ graph::Graph battery_graph(std::uint64_t seed) {
       return graph::random_connected_gnp(n, 0.5, rng);
   }
 }
+
+/// The differential battery's seeded graphs (tests/differential_test.cpp).
+graph::Graph battery_graph(std::uint64_t seed) {
+  Rng rng(0xd1ffULL * (seed + 1));
+  return battery_family(static_cast<graph::Vertex>(5 + (seed * 7) % 44),
+                        seed, rng);
+}
 constexpr std::uint64_t kBatteryGraphs = 56;
 
 /// Named graphs followed by the battery, the corpus of most cases.
@@ -124,6 +138,66 @@ std::vector<graph::Graph> corpus() {
     graphs.push_back(battery_graph(seed));
   }
   return graphs;
+}
+
+/// `g` with its vertices renamed by a seeded permutation.
+graph::Graph relabeled(const graph::Graph& g, Rng& rng) {
+  std::vector<graph::Vertex> label(g.vertex_count());
+  for (graph::Vertex v = 0; v < g.vertex_count(); ++v) label[v] = v;
+  rng.shuffle(label);
+  std::vector<graph::Edge> edges;
+  for (const auto& [u, v] : g.edges()) edges.emplace_back(label[u], label[v]);
+  return graph::Graph::from_edges(g.vertex_count(), edges);
+}
+
+/// The repository benchmark's `solve` families at n = 1024.
+std::vector<NamedGraph> solve_families() {
+  Rng rng(0x5017eULL);
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"grid", relabeled(graph::grid(32, 32), rng)});
+  graphs.push_back(
+      {"regular3", graph::random_regular_configuration(1024, 3, rng)});
+  graphs.push_back({"geometric", graph::random_geometric(1024, 0.06, rng)});
+  graphs.push_back({"hypercube", relabeled(graph::hypercube(10), rng)});
+  return graphs;
+}
+
+/// Center-finding cases: graphs whose n spans more than one 64-bit word of
+/// BFS sources, each group searched in one mode.
+struct CenterCase {
+  std::string name;
+  graph::CenterMode mode;
+  std::vector<graph::Graph> graphs;
+};
+
+std::vector<CenterCase> center_cases() {
+  std::vector<CenterCase> cases;
+  std::vector<graph::Graph> solve;
+  for (auto& named : solve_families()) solve.push_back(std::move(named.g));
+  cases.push_back(
+      {"solve_families", graph::CenterMode::kAuto, std::move(solve)});
+  Rng rng(0xce47e5ULL);
+  std::vector<graph::Graph> battery;
+  for (const graph::Vertex n : {63u, 64u, 65u, 127u, 130u}) {
+    for (std::uint64_t family = 0; family < 4; ++family) {
+      battery.push_back(battery_family(n, family, rng));
+    }
+  }
+  cases.push_back(
+      {"battery_n63_to_130", graph::CenterMode::kAuto, std::move(battery)});
+  // ecc(0) = 64 and 65.
+  cases.push_back({"path65_66",
+                   graph::CenterMode::kAuto,
+                   {graph::path(65), graph::path(66)}});
+  cases.push_back(
+      {"grid100x100", graph::CenterMode::kAuto, {graph::grid(100, 100)}});
+  cases.push_back({"hybrid/regular4096",
+                   graph::CenterMode::kHybrid,
+                   {graph::random_regular_configuration(4096, 3, rng)}});
+  cases.push_back({"hybrid/geometric3000",
+                   graph::CenterMode::kHybrid,
+                   {graph::random_geometric(3000, 0.035, rng)}});
+  return cases;
 }
 
 constexpr gossip::Algorithm kAlgorithms[] = {
@@ -356,6 +430,39 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     record("dist/repair", repair);
     record("dist/counts", counts);
   }
+
+  ThreadPool pool(4);
+  for (const CenterCase& c : center_cases()) {
+    graph::CenterOptions options;
+    options.mode = c.mode;
+    Fingerprint64 serial, pooled, metrics;
+    for (const graph::Graph& g : c.graphs) {
+      for (const auto& [fp, on] : {std::pair<Fingerprint64*, ThreadPool*>{
+                                       &serial, nullptr},
+                                   std::pair<Fingerprint64*, ThreadPool*>{
+                                       &pooled, &pool}}) {
+        const graph::CenterResult r = graph::find_center(g, on, options);
+        for (const std::uint64_t word :
+             {std::uint64_t{r.center}, std::uint64_t{r.radius},
+              std::uint64_t{r.diameter_lb}, r.bfs_runs, r.pruned}) {
+          fp->update(word);
+        }
+      }
+      const graph::Metrics m = graph::compute_metrics(g);
+      metrics.update(m.center);
+      metrics.update(m.radius);
+      metrics.update(m.diameter);
+      for (const std::uint32_t e : m.eccentricity) metrics.update(e);
+    }
+    record("center/" + c.name, serial);
+    record("center/" + c.name + "/pool4", pooled);
+    record("metrics/" + c.name, metrics);
+  }
+  for (const auto& named : solve_families()) {
+    Fingerprint64 fp;
+    fold(fp, gossip::solve_gossip(named.g).schedule);
+    record(std::string("solve/") + named.name, fp);
+  }
   return out;
 }
 
@@ -429,6 +536,30 @@ const std::vector<std::pair<std::string, std::uint64_t>> kGolden = {
     {"dist/emergent", 0xdbcd599b98c47ce9ULL},
     {"dist/repair", 0xb943204199875013ULL},
     {"dist/counts", 0xe105130df3638df3ULL},
+    // Generated on the commit before the eccentricity sweep ran 64 sources
+    // per BFS, with `MG_GOLDEN_PRINT=1`.
+    {"center/solve_families", 0xfb782ac2f54a15c7ULL},
+    {"center/solve_families/pool4", 0xfb782ac2f54a15c7ULL},
+    {"metrics/solve_families", 0x80c541657ea75449ULL},
+    {"center/battery_n63_to_130", 0xa87f9d16555b3643ULL},
+    {"center/battery_n63_to_130/pool4", 0xa87f9d16555b3643ULL},
+    {"metrics/battery_n63_to_130", 0xd70cfef7b759f1e6ULL},
+    {"center/path65_66", 0x01de4012981398eaULL},
+    {"center/path65_66/pool4", 0x01de4012981398eaULL},
+    {"metrics/path65_66", 0xb11001d3fdca2b01ULL},
+    {"center/grid100x100", 0x22332acb2eafddb8ULL},
+    {"center/grid100x100/pool4", 0x22332acb2eafddb8ULL},
+    {"metrics/grid100x100", 0x2db3e315db6068b6ULL},
+    {"center/hybrid/regular4096", 0x63b3182ea878afacULL},
+    {"center/hybrid/regular4096/pool4", 0x63b3182ea878afacULL},
+    {"metrics/hybrid/regular4096", 0x20eb02cc707bdfbfULL},
+    {"center/hybrid/geometric3000", 0x38022befdcbad192ULL},
+    {"center/hybrid/geometric3000/pool4", 0x38022befdcbad192ULL},
+    {"metrics/hybrid/geometric3000", 0x0369ddfbfd42c2f6ULL},
+    {"solve/grid", 0x91e5e5734b49a30aULL},
+    {"solve/regular3", 0x7f2cd47b55e70c24ULL},
+    {"solve/geometric", 0x02a484bcfe86fe08ULL},
+    {"solve/hypercube", 0x896ee818a281ae2bULL},
 };
 
 TEST(ScheduleGolden, EveryDigestMatches) {
