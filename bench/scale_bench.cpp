@@ -22,6 +22,10 @@
 //   * thread scaling — exhaustive center over pools of 1/2/4/8 workers;
 //     the 4-thread sweep must be >= 1.5x the serial one (only asserted
 //     when the host has >= 4 hardware threads).
+//
+// Each timed center search records `lane_batches`, the number of
+// 64-source BFS batches it ran: 0 means one scalar BFS per source (the
+// grid A/B, whose ecc(0) exceeds 64), ceil(n/64) the word-parallel sweep.
 //   * peak RSS — VmHWM must stay under 2048 MB (Linux; skipped elsewhere).
 //
 // Where each family's tree root comes from (see docs/SCALING.md §2):
@@ -215,9 +219,11 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
     w.field("n", static_cast<std::uint64_t>(n));
     w.field("exhaustive_ms", exhaustive_ms);
     w.field("exhaustive_bfs", full.bfs_runs);
+    w.field("exhaustive_lane_batches", full.lane_batches);
     w.field("hybrid_ms", hybrid_ms);
     w.field("hybrid_bfs", fast.bfs_runs);
     w.field("hybrid_pruned", fast.pruned);
+    w.field("hybrid_lane_batches", fast.lane_batches);
     w.field("radius", static_cast<std::uint64_t>(full.radius));
     w.field("radius_agree", full.radius == fast.radius);
     w.field("speedup", speedup);
@@ -378,6 +384,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
       w.field("ms", ms);
       w.field("speedup", ms > 0.0 ? serial_ms / ms : 0.0);
       w.field("radius", static_cast<std::uint64_t>(found.radius));
+      w.field("lane_batches", found.lane_batches);
       w.end_object();
     }
     w.end_array();

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "support/contracts.h"
-#include "support/thread_pool.h"
 
 namespace mg::graph {
 
@@ -41,71 +40,8 @@ std::optional<std::uint32_t> eccentricity(const Graph& g, Vertex source) {
   return ecc;
 }
 
-Metrics compute_metrics(const Graph& g, ThreadPool* pool) {
-  const Vertex n = g.vertex_count();
-  MG_EXPECTS(n >= 1);
-  Metrics metrics;
-  metrics.eccentricity.assign(n, 0);
-
-  // One reusable BFS scratch (dist + frontier buffers) per parallel slot
-  // instead of three allocations per source; sources are strided over the
-  // slots so the eccentricity array is identical for any thread count.
-  struct Scratch {
-    std::vector<std::uint32_t> dist;
-    std::vector<Vertex> frontier;
-    std::vector<Vertex> next;
-  };
-  const std::size_t slots =
-      pool == nullptr || pool->thread_count() <= 1
-          ? 1
-          : std::min<std::size_t>(pool->thread_count(), n);
-  std::vector<Scratch> scratch(slots);
-  auto sweep_slot = [&](std::size_t slot) {
-    Scratch& s = scratch[slot];
-    for (Vertex source = static_cast<Vertex>(slot); source < n;
-         source += static_cast<Vertex>(slots)) {
-      s.dist.assign(n, kUnreachable);
-      s.frontier.assign(1, source);
-      s.dist[source] = 0;
-      std::uint32_t level = 0;
-      std::uint32_t ecc = 0;
-      Vertex reached = 1;
-      while (!s.frontier.empty()) {
-        ++level;
-        s.next.clear();
-        for (Vertex u : s.frontier) {
-          for (Vertex v : g.neighbors(u)) {
-            if (s.dist[v] == kUnreachable) {
-              s.dist[v] = level;
-              s.next.push_back(v);
-              ++reached;
-            }
-          }
-        }
-        if (!s.next.empty()) ecc = level;
-        s.frontier.swap(s.next);
-      }
-      MG_EXPECTS_MSG(reached == n, "compute_metrics requires connectivity");
-      metrics.eccentricity[source] = ecc;
-    }
-  };
-  if (slots > 1) {
-    pool->parallel_for(slots, sweep_slot);
-  } else {
-    sweep_slot(0);
-  }
-
-  metrics.radius = kUnreachable;
-  metrics.diameter = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    if (metrics.eccentricity[v] < metrics.radius) {
-      metrics.radius = metrics.eccentricity[v];
-      metrics.center = v;
-    }
-    metrics.diameter = std::max(metrics.diameter, metrics.eccentricity[v]);
-  }
-  return metrics;
-}
+// `compute_metrics` is defined in center.cpp, beside the eccentricity sweep
+// it shares with `find_center`.
 
 bool is_connected(const Graph& g) {
   if (g.vertex_count() == 0) return true;

@@ -29,8 +29,9 @@ inline constexpr std::uint32_t kUnreachable = static_cast<std::uint32_t>(-1);
 [[nodiscard]] std::optional<std::uint32_t> eccentricity(const Graph& g,
                                                         Vertex source);
 
-/// Radius / diameter / a center vertex of a connected graph, computed by n
-/// BFS traversals (O(mn), exactly the paper's procedure).
+/// Radius / diameter / a center vertex of a connected graph, from every
+/// vertex's exact eccentricity: the paper's n BFS traversals (O(mn)), run
+/// 64 sources per traversal when ecc(0) <= 64 (see graph/center.h).
 struct Metrics {
   std::uint32_t radius = 0;
   std::uint32_t diameter = 0;
@@ -38,8 +39,10 @@ struct Metrics {
   std::vector<std::uint32_t> eccentricity;   ///< per-vertex eccentricities
 };
 
-/// Computes `Metrics` for a connected graph.  When `pool` is non-null the n
-/// BFS sweeps run in parallel.  Precondition: `g` is connected and n >= 1.
+/// Computes `Metrics` for a connected graph.  When `pool` is non-null the
+/// sweep runs in parallel; the result does not depend on the thread count.
+/// The center is the smallest-id vertex of minimum eccentricity.
+/// Precondition: `g` is connected and n >= 1.
 [[nodiscard]] Metrics compute_metrics(const Graph& g,
                                       ThreadPool* pool = nullptr);
 

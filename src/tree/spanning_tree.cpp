@@ -142,6 +142,7 @@ RootedTree min_depth_spanning_tree(const Graph& g, ThreadPool* pool,
   }
   MG_OBS_ADD("tree.center_scan_pruned", found.pruned);
   MG_OBS_ADD("tree.center_scan_bfs", found.bfs_runs);
+  MG_OBS_ADD("tree.center_scan_lane_batches", found.lane_batches);
   RootedTree t = bfs_tree(g, found.center);
   MG_ENSURES(t.height() == found.radius);
   return t;

@@ -1,13 +1,31 @@
 // Tests for BFS distances, eccentricity/radius/diameter/center (§3.1's
-// O(mn) procedure), connectivity and bipartiteness.
+// O(mn) procedure), connectivity and bipartiteness.  `compute_metrics` runs
+// 64 sources per BFS when ecc(0) <= 64; its eccentricities are checked
+// against `eccentricity(g, v)`, which stays one scalar BFS per vertex.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/properties.h"
+#include "support/contracts.h"
+#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace mg::graph {
 namespace {
+
+/// Every vertex's eccentricity by its own scalar BFS.
+std::vector<std::uint32_t> scalar_eccentricities(const Graph& g) {
+  std::vector<std::uint32_t> ecc;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    ecc.push_back(eccentricity(g, v).value());
+  }
+  return ecc;
+}
 
 TEST(Properties, BfsDistancesOnPath) {
   const Graph g = path(5);
@@ -66,14 +84,55 @@ TEST(Properties, CenterIsSmallestIdOnTies) {
 }
 
 TEST(Properties, ParallelMetricsMatchSequential) {
-  const Graph g = grid(9, 11);
+  Rng rng(0x9a7ULL);
+  for (const Graph& g :
+       {grid(9, 11), random_regular_configuration(1000, 3, rng)}) {
+    ThreadPool pool(4);
+    const auto seq = compute_metrics(g);
+    const auto par = compute_metrics(g, &pool);
+    EXPECT_EQ(seq.radius, par.radius);
+    EXPECT_EQ(seq.diameter, par.diameter);
+    EXPECT_EQ(seq.center, par.center);
+    EXPECT_EQ(seq.eccentricity, par.eccentricity);
+    EXPECT_EQ(seq.eccentricity, scalar_eccentricities(g));
+  }
+}
+
+TEST(Properties, MetricsMatchScalarEccentricities) {
+  // Partial last words (n = 65, 127, 130), and paths on both sides of the
+  // kernel's ecc(0) <= 64 rule (path(65): 64, path(66): 65).
+  Rng rng(0x3e7ULL);
+  std::vector<std::pair<std::string, Graph>> graphs = {
+      {"path/65", path(65)}, {"path/66", path(66)}, {"grid/13x10", grid(13, 10)}};
+  for (const Vertex n : {65u, 127u, 130u}) {
+    graphs.emplace_back("gnp/" + std::to_string(n),
+                        random_connected_gnp(n, 3.0 / n, rng));
+    graphs.emplace_back("tree/" + std::to_string(n), random_tree(n, rng));
+  }
+  for (const auto& [label, g] : graphs) {
+    const auto m = compute_metrics(g);
+    const auto expected = scalar_eccentricities(g);
+    EXPECT_EQ(m.eccentricity, expected) << label;
+    EXPECT_EQ(m.radius, *std::min_element(expected.begin(), expected.end()))
+        << label;
+    EXPECT_EQ(m.diameter, *std::max_element(expected.begin(), expected.end()))
+        << label;
+    EXPECT_EQ(m.eccentricity[m.center], m.radius) << label;
+  }
+}
+
+TEST(Properties, MetricsRejectDisconnectedGraphs) {
+  // 130 vertices in two cycles of 65: every component is small-radius, so
+  // only the connectivity check stands between the graph and the kernel.
+  GraphBuilder b(130);
+  for (Vertex v = 0; v < 65; ++v) {
+    b.add_edge(v, (v + 1) % 65);
+    b.add_edge(65 + v, 65 + (v + 1) % 65);
+  }
+  const Graph g = b.build();
   ThreadPool pool(4);
-  const auto seq = compute_metrics(g);
-  const auto par = compute_metrics(g, &pool);
-  EXPECT_EQ(seq.radius, par.radius);
-  EXPECT_EQ(seq.diameter, par.diameter);
-  EXPECT_EQ(seq.center, par.center);
-  EXPECT_EQ(seq.eccentricity, par.eccentricity);
+  EXPECT_THROW((void)compute_metrics(g), ContractViolation);
+  EXPECT_THROW((void)compute_metrics(g, &pool), ContractViolation);
 }
 
 TEST(Properties, RadiusAtMostHalfVertexCount) {
