@@ -73,6 +73,38 @@ TEST(Online, MatchesOfflineOnRandomTrees) {
   }
 }
 
+/// True when senders strictly ascend inside every round of `schedule`.
+bool sender_ordered(const model::Schedule& schedule) {
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    const auto round = schedule.round(t);
+    for (std::size_t i = 1; i < round.size(); ++i) {
+      if (round[i - 1].sender >= round[i].sender) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Online, MatchesOfflineFromEveryBfsRoot) {
+  // The online protocol shares no code with the offline synthesis: rooting
+  // sparse random graphs at every vertex gives trees of every depth and
+  // branching, each a differential between the two.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(0x0b1eULL + seed);
+    const auto n = static_cast<graph::Vertex>(8 + rng.below(41));
+    const graph::Graph g =
+        graph::random_connected_gnp(n, 2.5 / static_cast<double>(n), rng);
+    for (graph::Vertex root = 0; root < n; ++root) {
+      const auto instance = Instance(tree::bfs_tree(g, root));
+      const model::Schedule offline = concurrent_updown(instance);
+      const model::Schedule online = run_online(instance);
+      ASSERT_TRUE(model::equivalent(offline, online))
+          << "seed=" << seed << " n=" << n << " root=" << root;
+      ASSERT_TRUE(sender_ordered(offline)) << "seed=" << seed;
+      ASSERT_TRUE(sender_ordered(online)) << "seed=" << seed;
+    }
+  }
+}
+
 TEST(Online, PerProcessorDecisionParityWithOffline) {
   // The strongest form of the §4 claim, pinned processor by processor:
   // drive every OnlineProcessor by hand (deliveries replayed from the

@@ -13,6 +13,12 @@
 // `adapt_schedule` under each built-in model; and one `patch_schedule` per
 // test family after a seeded tree-edge removal.
 //
+// Every ConcurrentUpDown-family schedule folded here (with and without the
+// lookahead, Propagate-Up, Propagate-Down, the online protocol and the
+// `solve/*` networks below) must also store each round with its senders
+// strictly ascending.  A processor sends at most once per round, so that
+// order is the canonical one, and the digest then pins the stored arrays.
+//
 // The repair planners are pinned harder, in *stored* order: the greedy
 // completion flood (`partial_completion_schedule`) on seeded degraded
 // states, every repair of one `solve_with_recovery` run, and one
@@ -74,6 +80,21 @@ void fold(Fingerprint64& fp, const model::Schedule& schedule) {
       fp.update(tx.message);
       fp.update(tx.count);
       for (const graph::Vertex r : schedule.receivers(tx)) fp.update(r);
+    }
+  }
+}
+
+/// Fails the current test unless senders strictly ascend inside every round
+/// of `schedule`.  A sender sends at most once per round, so for the
+/// ConcurrentUpDown family this plus the canonical digest pins the stored
+/// arrays byte for byte, which the radio/beep legalizer reads.
+void expect_sender_ordered(const model::Schedule& schedule,
+                           const std::string& name) {
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    const auto round = schedule.round(t);
+    for (std::size_t i = 1; i < round.size(); ++i) {
+      ASSERT_LT(round[i - 1].sender, round[i].sender)
+          << name << " round " << t << " tuple " << i;
     }
   }
 }
@@ -282,21 +303,33 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     out.emplace_back(std::move(name), fp.digest());
   };
 
+  // Folds one algorithm's schedule; ConcurrentUpDown's must also be stored
+  // sender-ordered.
+  const auto fold_solution = [](Fingerprint64& fp, const graph::Graph& g,
+                                gossip::Algorithm algorithm,
+                                const std::string& name) {
+    const model::Schedule schedule = gossip::solve_gossip(g, algorithm).schedule;
+    if (algorithm == gossip::Algorithm::kConcurrentUpDown) {
+      expect_sender_ordered(schedule, name);
+    }
+    fold(fp, schedule);
+  };
   for (const auto& named : named_graphs()) {
     for (const gossip::Algorithm algorithm : kAlgorithms) {
+      const std::string name =
+          std::string(named.name) + "/" + gossip::algorithm_name(algorithm);
       Fingerprint64 fp;
-      fold(fp, gossip::solve_gossip(named.g, algorithm).schedule);
-      record(std::string(named.name) + "/" +
-                 gossip::algorithm_name(algorithm),
-             fp);
+      fold_solution(fp, named.g, algorithm, name);
+      record(name, fp);
     }
   }
   for (const gossip::Algorithm algorithm : kAlgorithms) {
+    const std::string name = "battery/" + gossip::algorithm_name(algorithm);
     Fingerprint64 fp;
     for (std::uint64_t seed = 0; seed < kBatteryGraphs; ++seed) {
-      fold(fp, gossip::solve_gossip(battery_graph(seed), algorithm).schedule);
+      fold_solution(fp, battery_graph(seed), algorithm, name);
     }
-    record("battery/" + gossip::algorithm_name(algorithm), fp);
+    record(name, fp);
   }
 
   Fingerprint64 no_lookahead, up, down, online;
@@ -305,11 +338,19 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     const auto instance = gossip::Instance::from_network(g);
     gossip::ConcurrentUpDownOptions options;
     options.lookahead_at_time_zero = false;
-    fold(no_lookahead, gossip::concurrent_updown(instance, options));
-    fold(up, gossip::propagate_up(instance));
-    fold(down, gossip::propagate_down(instance));
-    fold(online, gossip::run_online(instance));
+    const auto fold_ordered = [](Fingerprint64& fp,
+                                 const model::Schedule& schedule,
+                                 const std::string& name) {
+      expect_sender_ordered(schedule, name);
+      fold(fp, schedule);
+    };
+    fold_ordered(no_lookahead, gossip::concurrent_updown(instance, options),
+                 "concurrent_updown/no_lookahead");
+    fold_ordered(up, gossip::propagate_up(instance), "propagate_up");
+    fold_ordered(down, gossip::propagate_down(instance), "propagate_down");
+    fold_ordered(online, gossip::run_online(instance), "run_online");
     const model::Schedule schedule = gossip::concurrent_updown(instance);
+    expect_sender_ordered(schedule, "concurrent_updown");
     const graph::Graph tree = instance.tree().as_graph();
     for (std::size_t m = 0; m < model::kModelCount; ++m) {
       fold(adapted[m], model::adapt_schedule(tree, schedule,
@@ -459,9 +500,10 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     record("metrics/" + c.name, metrics);
   }
   for (const auto& named : solve_families()) {
+    const std::string name = std::string("solve/") + named.name;
     Fingerprint64 fp;
-    fold(fp, gossip::solve_gossip(named.g).schedule);
-    record(std::string("solve/") + named.name, fp);
+    fold_solution(fp, named.g, gossip::Algorithm::kConcurrentUpDown, name);
+    record(name, fp);
   }
   return out;
 }
