@@ -13,12 +13,15 @@
 //    n + r rounds;
 //  * warm cache — warm-cache throughput must be >= --min-warm (default 5x)
 //    the cold all-miss throughput;
-//  * parallel speedup — 4-thread throughput must be >= --min-speedup
-//    (default 1.5x) the 1-thread throughput.  Enforced only when the host
-//    has >= 4 hardware threads (or --force-speedup-gate): on a 1-core
-//    container a CPU-bound speedup is physically impossible, and a gate
-//    that can never pass there would only teach people to ignore it.  The
-//    measured value is always reported.
+//  * parallel speedup — 4-thread executed solves per second (cache misses
+//    over wall time) must be >= --min-speedup (default 1.5x) the 1-thread
+//    rate.  Requests per second is reported beside it but not gated: a
+//    request that joins an in-flight solve counts as a hit, so coalescing
+//    inflates the request rate of the threaded rows.  Enforced only when
+//    the host has >= 4 hardware threads (or --force-speedup-gate): on a
+//    1-core container a CPU-bound speedup is physically impossible, and a
+//    gate that can never pass there would only teach people to ignore it.
+//    The measured values are always reported.
 //
 //   engine_throughput [--out FILE] [--seed N] [--quick]
 //                     [--min-warm X] [--min-speedup X] [--force-speedup-gate]
@@ -240,6 +243,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
   struct ScalingRow {
     std::size_t threads = 0;
     double rps = 0.0;
+    double solves_per_s = 0.0;  // executed solves: cache misses / wall
     double wall_seconds = 0.0;
     engine::EngineStats stats;
     obs::HistogramSnapshot request_hist;
@@ -257,28 +261,35 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
     row.wall_seconds = watch.seconds();
     row.rps = static_cast<double>(stream.size()) / row.wall_seconds;
     row.stats = eng.stats();
+    row.solves_per_s =
+        static_cast<double>(row.stats.misses) / row.wall_seconds;
     row.request_hist =
         obs::Registry::global().snapshot().histogram("engine.request_ns");
     all_ok = all_ok && check_run(eng, stream, results);
     scaling.push_back(row);
     std::printf(
-        "threads=%zu  %8.0f req/s  hits=%llu misses=%llu coalesced=%llu "
-        "evictions=%llu\n",
-        threads, row.rps, static_cast<unsigned long long>(row.stats.hits),
+        "threads=%zu  %8.0f req/s  %8.0f solves/s  hits=%llu misses=%llu "
+        "coalesced=%llu evictions=%llu\n",
+        threads, row.rps, row.solves_per_s,
+        static_cast<unsigned long long>(row.stats.hits),
         static_cast<unsigned long long>(row.stats.misses),
         static_cast<unsigned long long>(row.stats.inflight_coalesced),
         static_cast<unsigned long long>(row.stats.evictions));
   }
   const double speedup_4t = scaling[2].rps / scaling[0].rps;
+  const double solve_speedup_4t =
+      scaling[2].solves_per_s / scaling[0].solves_per_s;
   const bool speedup_gate_enforced = force_speedup_gate || hardware >= 4;
-  const bool speedup_ok = !speedup_gate_enforced || speedup_4t >= min_speedup;
+  const bool speedup_ok =
+      !speedup_gate_enforced || solve_speedup_4t >= min_speedup;
   all_ok = all_ok && speedup_ok;
-  std::printf("4-thread speedup over serial: %.2fx (gate >= %.2fx, %s) %s\n",
-              speedup_4t, min_speedup,
-              speedup_gate_enforced
-                  ? "enforced"
-                  : "reported only: < 4 hardware threads",
-              speedup_ok ? "ok" : "VIOLATION");
+  std::printf(
+      "4-thread speedup over serial: %.2fx by executed solves (gate >= "
+      "%.2fx, %s) %s; %.2fx by requests (not gated)\n",
+      solve_speedup_4t, min_speedup,
+      speedup_gate_enforced ? "enforced"
+                            : "reported only: < 4 hardware threads",
+      speedup_ok ? "ok" : "VIOLATION", speedup_4t);
 
   // ---- BENCH_engine.json ----------------------------------------------
   obs::JsonWriter w(out);
@@ -311,6 +322,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
     w.begin_object();
     w.field("threads", static_cast<std::uint64_t>(row.threads));
     w.field("requests_per_second", row.rps);
+    w.field("solves_per_s", row.solves_per_s);
     w.field("wall_seconds", row.wall_seconds);
     w.field("requests", row.stats.requests);
     w.field("hits", row.stats.hits);
@@ -324,6 +336,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
   w.end_array();
   w.key("speedup").begin_object();
   w.field("speedup_4t", speedup_4t);
+  w.field("solve_speedup_4t", solve_speedup_4t);
   w.field("min_speedup", min_speedup);
   w.field("gate_enforced", speedup_gate_enforced);
   w.field("pass", speedup_ok);
