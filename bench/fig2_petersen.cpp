@@ -51,7 +51,7 @@ int main() {
   }
 
   gossip::ExactSearchOptions phone_options = options;
-  phone_options.variant = model::ModelVariant::kTelephone;
+  phone_options.telephone = true;
   const auto phone = gossip::exact_gossip_search(g, 9, phone_options);
   std::printf(
       "exact search for 9 rounds (telephone): %s (%llu nodes)\n"

@@ -47,7 +47,7 @@ int main() {
   }
 
   gossip::ExactSearchOptions phone;
-  phone.variant = model::ModelVariant::kTelephone;
+  phone.telephone = true;
   const auto telephone = gossip::exact_gossip_search(g, 4, phone);
   const bool phone_impossible =
       telephone.status == graph::SearchStatus::kExhausted;

@@ -270,8 +270,7 @@ int main(int argc, char** argv) {
   const auto repair_report = model::validate_schedule_general(
       network, run.repair, gossip::holds_to_initial_sets(run.main_holds),
       static_cast<std::size_t>(n),
-      {.variant = model::ModelVariant::kMulticast,
-       .require_completion = false});
+      {.require_completion = false});
   if (!repair_report.ok) {
     std::fprintf(stderr, "FAIL: emergent repair is model-invalid: %s\n",
                  repair_report.error.c_str());

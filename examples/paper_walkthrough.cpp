@@ -129,7 +129,7 @@ int main() {
     const auto k23_multicast =
         gossip::exact_gossip_search(graph::n3_witness(), 4);
     gossip::ExactSearchOptions phone;
-    phone.variant = model::ModelVariant::kTelephone;
+    phone.telephone = true;
     const auto k23_phone =
         gossip::exact_gossip_search(graph::n3_witness(), 4, phone);
     std::printf(

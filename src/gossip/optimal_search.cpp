@@ -112,10 +112,8 @@ class Searcher {
 
     // Try every useful incoming (sender, message).
     for (Vertex u : g_.neighbors(v)) {
-      const bool telephone =
-          options_.variant == model::ModelVariant::kTelephone;
       if (ctx.sender_msg[u] != kUnassigned) {
-        if (telephone) continue;
+        if (options_.telephone) continue;
         // Multicast: u may add v as another receiver of the same message.
         const auto m = static_cast<Message>(ctx.sender_msg[u]);
         if (hold_[v] & (std::uint64_t{1} << m)) continue;

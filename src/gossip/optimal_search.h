@@ -22,7 +22,8 @@
 namespace mg::gossip {
 
 struct ExactSearchOptions {
-  model::ModelVariant variant = model::ModelVariant::kMulticast;
+  /// Search unicast schedules only (|D| = 1, the telephone model).
+  bool telephone = false;
   std::uint64_t node_budget = 20'000'000;
 };
 

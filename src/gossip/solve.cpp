@@ -59,7 +59,7 @@ Solution solve_gossip(const graph::Graph& g, Algorithm algorithm,
   }();
   model::ValidatorOptions options;
   if (algorithm == Algorithm::kTelephone) {
-    options.variant = model::ModelVariant::kTelephone;
+    options.model = &model::telephone_model();
   }
   // Communications run on the tree network (§3): validate against it.
   model::ValidationReport report = [&] {

@@ -4,8 +4,8 @@
 // with n >= 3 processors; every algorithm in this repository consumes this
 // type.  Storage is CSR (compressed sparse row) with sorted neighbor lists,
 // which gives cache-friendly BFS sweeps for the O(mn) minimum-depth
-// spanning-tree construction of §3.1 and O(log d) adjacency tests for the
-// schedule validator.
+// spanning-tree construction of §3.1 and lets the schedule validator test
+// a whole receiver set's adjacency in one merge against the sender's row.
 #pragma once
 
 #include <cstdint>

@@ -31,6 +31,8 @@ class TelephoneModel final : public CommModel {
   }
   [[nodiscard]] std::string name() const override { return "telephone"; }
 
+  [[nodiscard]] bool constrains_receiver_set() const override { return true; }
+
   [[nodiscard]] std::string receiver_set_error(
       const graph::Graph&, graph::Vertex,
       std::span<const graph::Vertex> receivers) const override {
@@ -44,6 +46,8 @@ class TelephoneModel final : public CommModel {
 /// addressing — so the schedule's D set must be exactly N(sender).
 class BroadcastChannelModel : public CommModel {
  public:
+  [[nodiscard]] bool constrains_receiver_set() const override { return true; }
+
   [[nodiscard]] std::string receiver_set_error(
       const graph::Graph& g, graph::Vertex sender,
       std::span<const graph::Vertex> receivers) const override {

@@ -72,9 +72,15 @@ class CommModel {
   /// model except direct addressing).
   [[nodiscard]] virtual bool requires_adjacency() const { return true; }
 
+  /// True when `receiver_set_error` can reject a receiver set (telephone,
+  /// radio, beep).  False promises it always returns an empty string, so
+  /// the validator skips the call.
+  [[nodiscard]] virtual bool constrains_receiver_set() const { return false; }
+
   /// Capacity / addressing shape check for one transmission's receiver set
-  /// (receivers are in range, distinct, non-empty and != sender when this
-  /// is called).  Returns an empty string when legal, otherwise a short
+  /// (the validator calls it with the sender in range and D non-empty,
+  /// sorted and duplicate-free, before any receiver is range- or
+  /// self-checked).  Returns an empty string when legal, otherwise a short
   /// violation description (the validator appends the round context).
   [[nodiscard]] virtual std::string receiver_set_error(
       const graph::Graph& g, graph::Vertex sender,

@@ -34,6 +34,11 @@ void Schedule::trim() {
 }
 
 void Schedule::append(const Schedule& tail, std::size_t offset) {
+  // The last round index must stay below 2^32 - 1, as in
+  // `ScheduleBuilder::add`; tested without forming a sum that could wrap,
+  // before anything is allocated.
+  MG_EXPECTS_MSG(offset <= kMaxOffset - tail.round_count(),
+                 "round index exceeds 32 bits");
   const std::size_t own = round_count();
   const std::size_t rounds = std::max(own, offset + tail.round_count());
   if (rounds == 0) return;

@@ -23,9 +23,26 @@
 //   7. (optional) completion: after the last arrival every processor holds
 //      all n messages — under the model's delivery rule, so collided
 //      arrivals do not count.
+//
+// Layout and cost.  Hold state is one flat, message-major bit matrix in a
+// single allocation: row m has one bit per processor.  A round touches few
+// distinct messages, so the rows it reads stay in L1.  Each round takes two
+// passes.  The check pass runs the rules above per tuple, in stored order:
+// sender range, message range, empty D, the model's shape rule (only for a
+// model that `constrains_receiver_set`), double send, sender holds m; then
+// per receiver in stored order: range, self, adjacency, double receive
+// (or the same-round arrival count under radio/beep).  Adjacency is one
+// merge of the sorted D against the sender's sorted neighbor row, so a
+// tuple costs O(deg(sender) + |D|) and the first non-adjacent receiver is
+// the one reported.  The delivery pass applies the round one round behind,
+// re-reading it while it is still cache-resident; per-processor `lacking`
+// counters give the completion times.  Round stamps are 32-bit, which every
+// `Schedule` allows (round indices stay below 2^32 - 1).
+// tests/reference_validator.h keeps the previous per-processor-bitset
+// validator, and tests/validator_fuzz_test.cpp pins every report field of
+// this one, error strings included, to it.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,20 +52,12 @@
 
 namespace mg::model {
 
-/// Which communication model to enforce (legacy selector; the general
-/// mechanism is `ValidatorOptions::model`).
-enum class ModelVariant : std::uint8_t {
-  kMulticast,  ///< D may be any neighbor subset (the paper's model)
-  kTelephone,  ///< |D| = 1 (the restricted unicasting model)
-};
-
 struct ValidatorOptions {
-  ModelVariant variant = ModelVariant::kMulticast;
   /// Require every processor to end holding all n messages (gossip
   /// completion).  Disable to validate partial schedules (e.g. broadcast).
   bool require_completion = true;
-  /// Communication model to validate against; overrides `variant` when
-  /// set.  nullptr = the variant's built-in (multicast or telephone).
+  /// Communication model to validate against; nullptr = the paper's
+  /// multicast model.
   const CommModel* model = nullptr;
 };
 

@@ -102,9 +102,9 @@ TEST(DistDifferential, EmergentScheduleIsIndependentlyValid) {
     const auto report = model::validate_schedule(
         outcome.central.instance.tree().as_graph(), outcome.run.emergent,
         outcome.central.instance.initial(),
-        {.variant = algorithm == gossip::Algorithm::kTelephone
-                        ? model::ModelVariant::kTelephone
-                        : model::ModelVariant::kMulticast});
+        {.model = algorithm == gossip::Algorithm::kTelephone
+                      ? &model::telephone_model()
+                      : nullptr});
     EXPECT_TRUE(report.ok) << report.error;
   }
 }

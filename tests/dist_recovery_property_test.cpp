@@ -128,8 +128,7 @@ TEST(DistRecoveryProperty, SeededLiveFaultSweep48) {
     const auto repair_report = model::validate_schedule_general(
         g, run.repair, gossip::holds_to_initial_sets(run.main_holds),
         static_cast<std::size_t>(g.vertex_count()),
-        {.variant = model::ModelVariant::kMulticast,
-         .require_completion = false});
+        {.require_completion = false});
     EXPECT_TRUE(repair_report.ok) << repair_report.error;
 
     // (a) connected survivors => closure; no crashes at all => full gossip.
@@ -239,8 +238,7 @@ TEST(DistRecoveryProperty, RoundBudgetTruncatesHonestly) {
   const auto report = model::validate_schedule_general(
       g, outcome.run.repair,
       gossip::holds_to_initial_sets(outcome.run.main_holds), 25,
-      {.variant = model::ModelVariant::kMulticast,
-       .require_completion = false});
+      {.require_completion = false});
   EXPECT_TRUE(report.ok) << report.error;
 }
 

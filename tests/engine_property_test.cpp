@@ -113,7 +113,7 @@ TEST(EngineProperty, CacheHitIsByteIdenticalToFreshSolve) {
       EXPECT_TRUE(hit->report.ok) << name << ": " << hit->report.error;
       model::ValidatorOptions options;
       if (algorithm == gossip::Algorithm::kTelephone) {
-        options.variant = model::ModelVariant::kTelephone;
+        options.model = &model::telephone_model();
       }
       const auto report =
           model::validate_schedule(fresh.instance.tree().as_graph(),

@@ -14,7 +14,7 @@ namespace {
 void expect_optimal(const graph::Graph& g, const model::Schedule& s) {
   EXPECT_EQ(s.total_time(), g.vertex_count() - 1u);
   model::ValidatorOptions options;
-  options.variant = model::ModelVariant::kTelephone;
+  options.model = &model::telephone_model();
   const auto report = model::validate_schedule(g, s, {}, options);
   EXPECT_TRUE(report.ok) << report.error;
 }

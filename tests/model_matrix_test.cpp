@@ -97,37 +97,6 @@ TEST(ModelMatrix, DefaultModelBitIdentical) {
   }
 }
 
-// The legacy telephone variant selector and the telephone CommModel are the
-// same rules: identical reports on legalized-telephone schedules and
-// identical rejections on multicast ones.
-TEST(ModelMatrix, TelephoneVariantEqualsTelephoneModel) {
-  for (const auto& family : test::families()) {
-    const graph::Graph g = family.make(5);
-    SCOPED_TRACE(family.name);
-    const gossip::Solution sol =
-        gossip::solve_gossip(g, gossip::Algorithm::kSimple);
-    ASSERT_TRUE(sol.report.ok) << sol.report.error;
-    const graph::Graph tree = sol.instance.tree().as_graph();
-    const auto adapted =
-        model::adapt_schedule(tree, sol.schedule, model::telephone_model());
-
-    model::ValidatorOptions by_variant;
-    by_variant.variant = model::ModelVariant::kTelephone;
-    model::ValidatorOptions by_model;
-    by_model.model = &model::telephone_model();
-    expect_report_equal(
-        model::validate_schedule(tree, adapted.schedule,
-                                 sol.instance.initial(), by_variant),
-        model::validate_schedule(tree, adapted.schedule,
-                                 sol.instance.initial(), by_model));
-    expect_report_equal(
-        model::validate_schedule(tree, sol.schedule, sol.instance.initial(),
-                                 by_variant),
-        model::validate_schedule(tree, sol.schedule, sol.instance.initial(),
-                                 by_model));
-  }
-}
-
 // The full matrix: adapt every algorithm's schedule to every model; the
 // model validator must accept it, the simulator executing under the model
 // must complete, and the two must agree on timing.

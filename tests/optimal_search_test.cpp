@@ -16,7 +16,7 @@ using graph::SearchStatus;
 
 ExactSearchOptions telephone_options() {
   ExactSearchOptions options;
-  options.variant = model::ModelVariant::kTelephone;
+  options.telephone = true;
   return options;
 }
 
@@ -118,7 +118,7 @@ TEST(ExactSearch, PetersenNMinusOneTelephone) {
   ASSERT_EQ(result.status, SearchStatus::kFound);
   EXPECT_TRUE(result.schedule.is_telephone());
   model::ValidatorOptions vopts;
-  vopts.variant = model::ModelVariant::kTelephone;
+  vopts.model = &model::telephone_model();
   EXPECT_TRUE(model::validate_schedule(g, result.schedule, {}, vopts).ok);
 }
 

@@ -445,8 +445,7 @@ TEST(RecoveryProperty, PartialCompletionFloodsEachComponentToItsClosure) {
   const auto schedule = partial_completion_schedule(g, holds);
   const auto report = model::validate_schedule_general(
       g, schedule, holds_to_initial_sets(holds), 4,
-      {.variant = model::ModelVariant::kMulticast,
-       .require_completion = false});
+      {.require_completion = false});
   EXPECT_TRUE(report.ok) << report.error;
   // Replaying the schedule by hand: everyone ends with their component's
   // two messages and nothing else.

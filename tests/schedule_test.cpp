@@ -196,6 +196,30 @@ TEST(Schedule, AppendPastTheEndPadsEmptyRounds) {
   EXPECT_EQ(s.total_time(), 5u);
 }
 
+TEST(Schedule, AppendRejectsAnOffsetThatWouldWrap) {
+  // offset + tail.round_count() wraps to 0: the check must not form it.
+  Schedule s = build({{0, {0, 0, {1}}}});
+  const Schedule tail = build({{0, {1, 1, {0}}}});
+  EXPECT_THROW(s.append(tail, SIZE_MAX), ContractViolation);
+  EXPECT_THROW(s.append(Schedule{}, SIZE_MAX), ContractViolation);
+  EXPECT_EQ(s.round_count(), 1u);
+  EXPECT_EQ(s.transmission_count(), 1u);
+  EXPECT_EQ(s.delivery_count(), 1u);
+}
+
+TEST(Schedule, AppendRejectsRoundsPastThirtyTwoBitsBeforeAllocating) {
+  // The tail's round would land at index 2^32 - 1, which
+  // ScheduleBuilder::add refuses too; failing after allocating the
+  // 2^32 + 1 offsets would take 16 GB first.
+  Schedule s = build({{0, {0, 0, {1}}}});
+  const Schedule tail = build({{0, {1, 1, {0}}}});
+  EXPECT_THROW(s.append(tail, std::size_t{0xffffffff}), ContractViolation);
+  EXPECT_THROW(s.append(Schedule{}, std::size_t{1} << 32), ContractViolation);
+  EXPECT_EQ(s.round_count(), 1u);
+  EXPECT_EQ(s.transmission_count(), 1u);
+  EXPECT_EQ(s.delivery_count(), 1u);
+}
+
 TEST(Schedule, TrimDropsEmptyTrailingRounds) {
   Schedule s = build({{2, {0, 0, {1}}}});
   s.append(Schedule{}, 10);  // pads to 10 rounds

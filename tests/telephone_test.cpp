@@ -15,8 +15,7 @@ TEST(Telephone, ScheduleIsUnicastAndValid) {
   const auto instance = Instance::from_network(graph::fig4_network());
   const auto schedule = telephone_gossip(instance);
   EXPECT_TRUE(schedule.is_telephone());
-  test::expect_valid_gossip(instance, schedule,
-                            model::ModelVariant::kTelephone);
+  test::expect_valid_gossip(instance, schedule, model::telephone_model());
 }
 
 TEST(Telephone, ValidAcrossFamilies) {
@@ -24,8 +23,8 @@ TEST(Telephone, ValidAcrossFamilies) {
     for (graph::Vertex knob : {3u, 6u, 10u}) {
       const auto instance = Instance::from_network(family.make(knob));
       const auto schedule = telephone_gossip(instance);
-      const auto report = test::expect_valid_gossip(
-          instance, schedule, model::ModelVariant::kTelephone);
+      const auto report = test::expect_valid_gossip(instance, schedule,
+                                                    model::telephone_model());
       ASSERT_TRUE(report.ok) << family.name << " knob=" << knob;
     }
   }

@@ -73,9 +73,9 @@ inline model::Transmission transmission_of(const model::Schedule& schedule,
 /// returns the report; fails the current test on violation.
 inline model::ValidationReport expect_valid_gossip(
     const gossip::Instance& instance, const model::Schedule& schedule,
-    model::ModelVariant variant = model::ModelVariant::kMulticast) {
+    const model::CommModel& model = model::multicast_model()) {
   model::ValidatorOptions options;
-  options.variant = variant;
+  options.model = &model;
   auto report = model::validate_schedule(instance.tree().as_graph(), schedule,
                                          instance.initial(), options);
   EXPECT_TRUE(report.ok) << report.error;

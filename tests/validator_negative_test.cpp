@@ -35,9 +35,9 @@ struct Fixture {
 
   [[nodiscard]] model::ValidationReport validate(
       const Schedule& schedule,
-      model::ModelVariant variant = model::ModelVariant::kMulticast) const {
+      const model::CommModel& model = model::multicast_model()) const {
     model::ValidatorOptions options;
-    options.variant = variant;
+    options.model = &model;
     return model::validate_schedule(tree, schedule, initial, options);
   }
 };
@@ -160,7 +160,7 @@ TEST(ValidatorNegative, MulticastRejectedUnderTelephoneModel) {
   // same schedule that passes the multicast model violates |D| = 1.
   ASSERT_GE(f.sol.schedule.max_fanout(), 2u);
   const auto report =
-      f.validate(f.sol.schedule, model::ModelVariant::kTelephone);
+      f.validate(f.sol.schedule, model::telephone_model());
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("multicast under telephone model"),
             std::string::npos)

@@ -111,11 +111,11 @@ TEST(Validator, RejectsOutOfRangeIndices) {
   EXPECT_FALSE(validate_schedule(path(3), bad_message.build()).ok);
 }
 
-TEST(Validator, TelephoneVariantRejectsMulticast) {
+TEST(Validator, TelephoneModelRejectsMulticast) {
   ScheduleBuilder s;
   s.add(0, {1, 1, {0, 2}});
   ValidatorOptions options;
-  options.variant = ModelVariant::kTelephone;
+  options.model = &telephone_model();
   options.require_completion = false;
   const auto report = validate_schedule(path(3), s.build(), {}, options);
   EXPECT_FALSE(report.ok);
