@@ -21,11 +21,13 @@
 //
 // The repair planners are pinned harder, in *stored* order: the greedy
 // completion flood (`partial_completion_schedule`) on seeded degraded
-// states, every repair of one `solve_with_recovery` run, and one
-// `dist::ActorRuntime` run with decentralized recovery (emergent and repair
-// schedules plus the run's counters).  Their within-round order is part of
-// their output, because the radio/beep legalizer packs rounds in stored
-// order.
+// states, every repair of one `solve_with_recovery` run, and two
+// `dist::ActorRuntime` runs with decentralized recovery (emergent and repair
+// schedules plus the run's counters; the online-rule run's causal record
+// too; the other run has per-edge delays).  Their within-round order is
+// part of their output, because the radio/beep legalizer packs rounds in
+// stored order.  The bus's delivery order itself is pinned in
+// dist_differential_test.
 //
 // Center finding is pinned on graphs wider than one 64-bit word of BFS
 // sources: `find_center`'s (center, radius, diameter_lb, bfs_runs, pruned)
@@ -459,7 +461,7 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     dist::ActorRuntime runtime(instance, g, options);
     runtime.use_online_rule();
     const dist::RunReport run = runtime.run(horizon);
-    Fingerprint64 emergent, repair, counts;
+    Fingerprint64 emergent, repair, counts, causal;
     fold_stored(emergent, run.emergent);
     fold_stored(repair, run.repair);
     for (const std::size_t c :
@@ -467,9 +469,53 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
           run.control_messages, run.causal.size()}) {
       counts.update(c);
     }
+    for (const dist::CausalLink& link : run.causal) {
+      for (const std::uint64_t word :
+           {link.id, link.parent, std::uint64_t{static_cast<std::uint8_t>(
+                                      link.kind)},
+            std::uint64_t{link.round}, std::uint64_t{link.sender},
+            std::uint64_t{link.message}, std::uint64_t{link.fanout}}) {
+        causal.update(word);
+      }
+    }
     record("dist/emergent", emergent);
     record("dist/repair", repair);
     record("dist/counts", counts);
+    record("dist/causal", causal);
+  }
+
+  {
+    // Decentralized recovery under per-edge delays: Simple's timetable on
+    // a 7x9 grid, every third edge 1-3 rounds slower, 8% drops and one
+    // crash.  Delayed copies share inboxes with fresh ones, so this run
+    // exercises the bus's order and the actors' tie rules.
+    const graph::Graph g = graph::grid(7, 9);
+    const gossip::Solution solution =
+        gossip::solve_gossip(g, gossip::Algorithm::kSimple);
+    const std::size_t horizon = solution.schedule.round_count();
+    fault::FaultPlan plan;
+    plan.drop_rate(0.08).seed(seed++).crash(40, horizon / 3);
+    const std::vector<graph::Edge> edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); e += 3) {
+      plan.delay(edges[e].first, edges[e].second, 1 + (e / 3) % 3);
+    }
+    dist::RuntimeOptions options;
+    options.faults = &plan;
+    dist::ActorRuntime runtime(solution.instance, g, options);
+    runtime.use_timetable(solution.schedule);
+    const dist::RunReport run = runtime.run(horizon);
+    Fingerprint64 emergent, repair, counts;
+    fold_stored(emergent, run.emergent);
+    fold_stored(repair, run.repair);
+    for (const std::size_t c :
+         {run.recovery_rounds, run.messages, run.deliveries,
+          run.control_messages, run.causal.size(), run.injected_drops,
+          run.crashed_sends, run.skipped_sends, run.lost_receives}) {
+      counts.update(c);
+    }
+    record("dist/delayed/emergent", emergent);
+    record("dist/delayed/repair", repair);
+    record("dist/delayed/counts", counts);
   }
 
   ThreadPool pool(4);
@@ -578,6 +624,12 @@ const std::vector<std::pair<std::string, std::uint64_t>> kGolden = {
     {"dist/emergent", 0xdbcd599b98c47ce9ULL},
     {"dist/repair", 0xb943204199875013ULL},
     {"dist/counts", 0xe105130df3638df3ULL},
+    // Generated on the commit before the dist capture phases posted
+    // straight into the bus, with `MG_GOLDEN_PRINT=1`.
+    {"dist/causal", 0x9673a7bb96f23449ULL},
+    {"dist/delayed/emergent", 0xe1ce0505b1623c7dULL},
+    {"dist/delayed/repair", 0xd804d27e5a7346a1ULL},
+    {"dist/delayed/counts", 0x1f3b2146d753d867ULL},
     // Generated on the commit before the eccentricity sweep ran 64 sources
     // per BFS, with `MG_GOLDEN_PRINT=1`.
     {"center/solve_families", 0xfb782ac2f54a15c7ULL},
