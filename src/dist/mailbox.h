@@ -1,22 +1,22 @@
 // Round-synchronized message bus for the `mg::dist` actor runtime.
 //
-// Every processor actor owns one mailbox.  During a round, actors (running
-// on several worker threads) post envelopes addressed to other actors; the
-// bus buffers them by arrival time — a message posted at round t arrives at
-// t + 1 (+ any per-edge fault delay) — behind mutex-striped locks so
-// concurrent senders never contend on one global lock.  At the round
-// barrier `flip()` moves every due envelope into its receiver's read-only
-// inbox in a *deterministic* order: envelopes are first sorted by a
-// canonical key (kind, sender, message) to erase the thread-interleaving
-// order they were posted in, then shuffled with an Rng seeded from
-// (seed, round, receiver).  The shuffle makes delivery order adversarial —
-// actors must not depend on it — while keeping every run bit-identical for
-// a fixed seed (the dist stress battery asserts exactly that).
+// Every processor actor owns one mailbox.  The runtime's serial capture
+// phase posts each surviving envelope straight into its receiver's slot for
+// its arrival time — a message posted at round t arrives at t + 1 (+ any
+// per-edge fault delay).  At the round barrier `flip()` makes every due
+// envelope its receiver's read-only inbox in a *deterministic* order:
+// envelopes are first sorted by a canonical key (kind, sender, message),
+// which alone defines the order whatever sequence they were posted in,
+// then shuffled with an Rng seeded from (seed, round, receiver).  The
+// shuffle makes delivery order adversarial — actors must not depend on it
+// — while keeping every run bit-identical for a fixed seed (the dist
+// stress battery asserts exactly that; dist_differential_test pins the
+// order itself).  `flip` swaps each due slot with its inbox, so every
+// mailbox vector keeps its capacity from round to round.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -75,9 +75,7 @@ class MailboxBus {
         seed_(seed),
         slots_(static_cast<std::size_t>(max_delay) + 2),
         boxes_(static_cast<std::size_t>(n) * slots_),
-        inboxes_(n),
-        stripes_((static_cast<std::size_t>(n) + kStripeSize - 1) /
-                 kStripeSize) {}
+        inboxes_(n) {}
 
   MailboxBus(const MailboxBus&) = delete;
   MailboxBus& operator=(const MailboxBus&) = delete;
@@ -86,14 +84,12 @@ class MailboxBus {
   /// (0 = the normal send-at-t, receive-at-t+1 latency).  Only data may be
   /// delayed: a control envelope is read at the very next barrier, which
   /// is what lets a digest view its sender's snapshot row instead of
-  /// copying it.  Thread-safe; concurrent posters to mailboxes in
-  /// different stripes never contend.
-  void post(graph::Vertex to, std::size_t delay, Envelope e) {
+  /// copying it.  Single-threaded: only the runtime's serial capture
+  /// phase posts, while no actor reads an inbox.
+  void post(graph::Vertex to, std::size_t delay, const Envelope& e) {
     MG_EXPECTS_MSG(delay == 0 || e.kind == Envelope::Kind::kData,
                    "control envelopes travel with zero delay");
-    std::lock_guard<std::mutex> lock(
-        stripes_[static_cast<std::size_t>(to) / kStripeSize].mutex);
-    box(to, (cursor_ + delay) % slots_).push_back(std::move(e));
+    box(to, (cursor_ + delay) % slots_).push_back(e);
   }
 
   /// Round barrier: makes every envelope due now readable via `inbox()`,
@@ -107,7 +103,7 @@ class MailboxBus {
                 (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(v) + 1)));
         rng.shuffle(due);
       }
-      inboxes_[v] = std::move(due);
+      inboxes_[v].swap(due);
       due.clear();
     }
     cursor_ = (cursor_ + 1) % slots_;
@@ -119,19 +115,7 @@ class MailboxBus {
     return inboxes_[v];
   }
 
-  /// Discards everything still in flight (used when a phase ends).
-  void drain() {
-    for (auto& b : boxes_) b.clear();
-    for (auto& i : inboxes_) i.clear();
-  }
-
  private:
-  static constexpr std::size_t kStripeSize = 16;
-
-  struct alignas(64) Stripe {
-    std::mutex mutex;
-  };
-
   std::vector<Envelope>& box(graph::Vertex v, std::size_t slot) {
     return boxes_[static_cast<std::size_t>(v) * slots_ + slot];
   }
@@ -143,7 +127,6 @@ class MailboxBus {
   /// boxes_[v * slots_ + s]: envelopes for v arriving at barrier slot s.
   std::vector<std::vector<Envelope>> boxes_;
   std::vector<std::vector<Envelope>> inboxes_;
-  std::vector<Stripe> stripes_;
 };
 
 }  // namespace mg::dist

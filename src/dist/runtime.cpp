@@ -138,26 +138,23 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   model::ScheduleBuilder repair;
 
   std::vector<Outbox> out(n);
-  // (receiver, delay, envelope) triples the route phase posts concurrently,
-  // pre-partitioned by sender so workers never share a slot.
-  std::vector<std::vector<std::tuple<Vertex, std::size_t, Envelope>>> wire(n);
   // Trace ids for the happens-before record: one per logical transmission
   // (data multicast, digest fan-out, grant), assigned in the serial
   // capture phases, so ids are deterministic under a fixed seed.
   std::uint64_t next_trace = 0;
-
-  auto route_wire = [&] {
-    im.for_each_actor([&](std::size_t v) {
-      for (auto& [to, delay, envelope] : wire[v]) {
-        bus.post(to, delay, std::move(envelope));
-      }
-      wire[v].clear();
-    });
+  // Round from which each actor is dead (fault::kNever when it never
+  // crashes), read from the plan once: capture tests it per envelope.
+  std::vector<std::size_t> crash_round(n, fault::kNever);
+  if (plan != nullptr) {
+    for (Vertex v = 0; v < n; ++v) crash_round[v] = plan->crash_round(v);
+  }
+  const auto live_at = [&](Vertex v, std::size_t abs_t) {
+    return abs_t < crash_round[v];
   };
 
   // Applies the fabric's verdict to actor v's data transmission at absolute
   // round `abs_t` and, when it survives, captures events/schedule rows and
-  // stages the envelopes.  Serial (called in actor-id order).
+  // posts the envelopes.  Serial (called in actor-id order).
   auto capture_data = [&](Vertex v, std::size_t abs_t,
                           model::ScheduleBuilder& into, std::size_t local_t,
                           bool main_phase) {
@@ -165,7 +162,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     const model::Transmission& tx = *out[v].data;
     const Vertex first_receiver =
         tx.receivers.empty() ? tx.sender : tx.receivers.front();
-    if (plan != nullptr && plan->crashed(v, abs_t)) {
+    if (!live_at(v, abs_t)) {
       ++report.crashed_sends;
       im.emit({"crash", abs_t, v, tx.message, first_receiver,
                         tx.receivers.size()});
@@ -193,26 +190,26 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     im.emit({"send", abs_t, v, tx.message, first_receiver,
              tx.receivers.size(), id, out[v].data_cause});
     into.add(local_t, tx);
+    Envelope e;
+    e.kind = Envelope::Kind::kData;
+    e.sender = v;
+    e.message = tx.message;
+    e.trace = id;
     for (const Vertex r : tx.receivers) {
       const std::size_t extra =
           plan != nullptr ? plan->extra_delay(v, r) : 0;
       const std::size_t arrival = abs_t + 1 + extra;
-      if (plan != nullptr && plan->crashed(r, arrival)) {
+      if (!live_at(r, arrival)) {
         ++report.lost_receives;
         im.emit({"lost", arrival, r, tx.message, v, 0});
         continue;
       }
       ++report.deliveries;
       im.emit({"receive", arrival, r, tx.message, v, 0, id, 0});
-      Envelope e;
-      e.kind = Envelope::Kind::kData;
-      e.sender = v;
-      e.message = tx.message;
-      e.trace = id;
       // The one bit of link context the §4 online rule distinguishes:
       // whether this delivery rides the o-stream from the tree parent.
       e.from_parent = !tree.is_root(r) && tree.parent(r) == v && main_phase;
-      wire[v].emplace_back(r, extra, std::move(e));
+      bus.post(r, extra, e);
     }
   };
 
@@ -231,9 +228,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     });
     for (Vertex v = 0; v < n; ++v) {
       capture_data(v, t, emergent, t, /*main_phase=*/true);
-      out[v] = Outbox{};
     }
-    route_wire();
     MG_OBS_HIST("dist.round_ns", static_cast<std::uint64_t>(round_watch.seconds() * 1e9));
   }
   // Drain: arrivals at times horizon .. horizon + max_delay.
@@ -251,9 +246,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   }
 
   // ---- decentralized recovery -------------------------------------------
-  const auto live_at = [&](Vertex v, std::size_t abs_t) {
-    return plan == nullptr || !plan->crashed(v, abs_t);
-  };
   auto all_live_complete = [&](std::size_t abs_t) {
     for (Vertex v = 0; v < n; ++v) {
       if (live_at(v, abs_t) && !im.actors[v].complete()) return false;
@@ -262,29 +254,27 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   };
 
   // Stamps actor v's control batch (one digest fan-out or one grant) with
-  // one trace id, records its causal link, and stages the envelopes bound
-  // for live receivers; control envelopes to dead receivers just
-  // evaporate.  Serial.  True when anything was staged.
+  // one trace id, records its causal link, and posts the envelope to its
+  // live receivers; control envelopes to dead receivers just evaporate.
+  // Serial.  True when anything was posted.
   auto capture_control = [&](Vertex v, std::size_t abs_t,
                              CausalLink::Kind kind) {
-    Outbox& o = out[v];
-    report.control_messages += o.control.size();
-    bool staged = false;
-    if (!o.control.empty()) {
-      // One id per batch: a multicast is one logical message.
-      const std::uint64_t id = ++next_trace;
-      report.causal.push_back({id, o.control_cause, kind, abs_t, v,
-                               o.control.front().message, o.control.size()});
-      mirror_causal(report.causal.back());
-      for (std::size_t c = 0; c < o.control.size(); ++c) {
-        if (!live_at(o.control_to[c], abs_t)) continue;
-        o.control[c].trace = id;
-        wire[v].emplace_back(o.control_to[c], 0, o.control[c]);
-        staged = true;
-      }
+    const Outbox& o = out[v];
+    if (!o.control.has_value() || o.control_to.empty()) return false;
+    report.control_messages += o.control_to.size();
+    // One id per batch: a multicast is one logical message.
+    Envelope e = *o.control;
+    e.trace = ++next_trace;
+    report.causal.push_back({e.trace, o.control_cause, kind, abs_t, v,
+                             e.message, o.control_to.size()});
+    mirror_causal(report.causal.back());
+    bool posted = false;
+    for (const Vertex to : o.control_to) {
+      if (!live_at(to, abs_t)) continue;
+      bus.post(to, 0, e);
+      posted = true;
     }
-    o = Outbox{};
-    return staged;
+    return posted;
   };
 
   std::size_t end_abs = horizon;
@@ -321,7 +311,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       for (Vertex v = 0; v < n; ++v) {
         (void)capture_control(v, abs_t, CausalLink::Kind::kDigest);
       }
-      route_wire();
 
       bus.flip(barrier++);
       im.for_each_actor([&](std::size_t v) {
@@ -335,7 +324,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
         any_grant |= capture_control(v, abs_t, CausalLink::Kind::kGrant);
       }
       if (!any_grant) break;  // quiescence == component closure reached
-      route_wire();
 
       bus.flip(barrier++);
       im.for_each_actor([&](std::size_t v) {
@@ -346,10 +334,8 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       });
       for (Vertex v = 0; v < n; ++v) {
         capture_data(v, abs_t, repair, q, /*main_phase=*/false);
-        out[v] = Outbox{};
       }
       ++report.recovery_rounds;
-      route_wire();
       MG_OBS_HIST("dist.recovery_round_ns",
                   static_cast<std::uint64_t>(cycle_watch.seconds() * 1e9));
     }

@@ -11,17 +11,20 @@
 // sink, and `dist.*` observability counters.
 //
 // Phases per main round t:
-//   1. barrier flip    — arrivals due at t become readable (deterministic
-//                        canonical-sort + seeded-shuffle order);
-//   2. decide          — actors absorb their inbox and decide, in parallel
-//                        across the worker pool (actor state is strictly
-//                        per-actor, so no locks are needed here);
-//   3. fault + capture — the runtime applies crash/drop/skip verdicts in
-//                        actor-id order and records events and the emergent
-//                        schedule (serial, so capture is deterministic);
-//   4. route           — surviving envelopes are posted to the receivers'
-//                        mailboxes, in parallel, behind the bus's stripe
-//                        locks (the part the TSAN stress battery hammers).
+//   1. barrier flip           — arrivals due at t become readable
+//                               (deterministic canonical-sort +
+//                               seeded-shuffle order);
+//   2. decide                 — actors absorb their inbox and decide, in
+//                               parallel across the worker pool (actor
+//                               state is strictly per-actor and the bus is
+//                               only read, so no locks are needed here);
+//   3. fault + capture + post — the runtime applies crash/drop/skip
+//                               verdicts in actor-id order, records events
+//                               and the emergent schedule, and posts each
+//                               surviving envelope straight into its
+//                               receiver's arrival slot (serial: the only
+//                               writer of the bus, and deterministic).
+// Each recovery subround (digest, grant, data) runs the same three phases.
 //
 // After the planned horizon, incomplete live actors run the decentralized
 // digest / grant / data recovery protocol (see actor.h) until quiescence,
@@ -49,7 +52,7 @@ struct RuntimeOptions {
   /// absolute: main round t is round t, recovery cycle q is round
   /// horizon + q — the same convention `gossip::solve_with_recovery` uses.
   const fault::FaultPlan* faults = nullptr;
-  /// Worker threads for the decide/route phases; 0 = run serially.
+  /// Worker threads for the decide phases; 0 = run serially.
   std::size_t threads = 0;
   /// Seed for the bus's adversarial (but reproducible) delivery order.
   std::uint64_t seed = 0x5eed;
