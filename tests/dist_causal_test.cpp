@@ -10,12 +10,15 @@
 //    precisely the recovery data rounds executed, n + r + recovery_rounds.
 //
 // Chain validity, capture completeness (one link per transmission on the
-// wire), the CausalTracer mirror, and the flow-trace JSON round-trip
+// wire), independence from the bus seed (copies of one message that land
+// in one inbox together tie by trace id, not by delivery order), the
+// CausalTracer mirror, and the flow-trace JSON round-trip
 // through the shared test parser are checked alongside.  RunReport.causal
 // is always recorded (independent of MG_OBS), so everything except the
 // mirror test also gates the -DMG_OBS=OFF build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -24,11 +27,13 @@
 
 #include "dist/runtime.h"
 #include "fault/fault.h"
+#include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "json_parser.h"
 #include "obs/causal.h"
 #include "obs/trace_export.h"
+#include "support/rng.h"
 #include "test_util.h"
 
 namespace mg::dist {
@@ -153,6 +158,61 @@ TEST(DistCausal, EveryWireTransmissionIsCaptured) {
   }
   EXPECT_EQ(data_links, outcome.run.emergent.transmission_count());
   EXPECT_EQ(causal.size(), outcome.run.messages + outcome.run.control_messages);
+}
+
+/// Index of the first link where `a` and `b` differ in any field (the
+/// shorter size when one is a prefix of the other); SIZE_MAX when equal.
+std::size_t first_difference(const std::vector<CausalLink>& a,
+                             const std::vector<CausalLink>& b) {
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i].id != b[i].id || a[i].parent != b[i].parent ||
+        a[i].kind != b[i].kind || a[i].round != b[i].round ||
+        a[i].sender != b[i].sender || a[i].message != b[i].message ||
+        a[i].fanout != b[i].fanout) {
+      return i;
+    }
+  }
+  return a.size() == b.size() ? SIZE_MAX : std::min(a.size(), b.size());
+}
+
+TEST(DistCausal, RecordIsIndependentOfTheBusSeed) {
+  // Per-edge delays land copies of one message in one inbox at one flip.
+  // They arrived together, so which of them a relay names as its parent,
+  // and which arrival a digest names, must not depend on the order the
+  // bus's seeded shuffle put them in: the whole record is the same under
+  // every bus seed.
+  for (graph::Vertex s = 0; s < 12; ++s) {
+    const graph::Graph g = graph::grid(5 + s % 3, 6 + s % 2);
+    const gossip::Algorithm algorithm = s % 2 == 0
+                                            ? gossip::Algorithm::kSimple
+                                            : gossip::Algorithm::kUpDown;
+    SCOPED_TRACE("sweep " + std::to_string(s) + " " +
+                 gossip::algorithm_name(algorithm));
+    const gossip::Solution solution = gossip::solve_gossip(g, algorithm);
+    const std::size_t horizon = solution.schedule.round_count();
+    fault::FaultPlan plan;
+    plan.drop_rate(0.05).seed(0xca5eULL + s);
+    if (s % 3 == 0) plan.crash(s + 7, horizon / 2);
+    Rng rng(0xde1a7ULL + s);
+    for (const auto& [u, v] : g.edges()) {
+      if (rng.below(3) == 0) plan.delay(u, v, 1 + rng.below(3));
+    }
+    std::vector<CausalLink> reference;
+    for (std::uint64_t bus = 0; bus < 8; ++bus) {
+      RuntimeOptions options;
+      options.faults = &plan;
+      options.seed = bus;
+      ActorRuntime runtime(solution.instance, g, options);
+      runtime.use_timetable(solution.schedule);
+      const RunReport run = runtime.run(horizon);
+      if (bus == 0) {
+        reference = run.causal;
+        continue;
+      }
+      EXPECT_EQ(first_difference(reference, run.causal), SIZE_MAX)
+          << "bus seed " << bus;
+    }
+  }
 }
 
 TEST(DistCausal, GlobalTracerMirrorsTheRunReport) {
