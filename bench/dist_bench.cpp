@@ -179,6 +179,7 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   w.begin_object();
   w.field("schema_version", 1);
   w.field("suite", "dist");
+  w.field("quick", quick);
   w.field("threads", static_cast<std::uint64_t>(threads));
   w.key("rows").begin_array();
 

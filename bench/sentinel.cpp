@@ -10,7 +10,7 @@
 //      "host": "...", "rev": "...", "metrics": {"sim_ns_p50": ..., ...}}
 //
 // `sentinel append` reduces the current BENCH_{gossip,fault,engine,scale,
-// churn,models}.json files into one summary row per suite and appends them
+// churn,models,dist}.json files into one summary row per suite and appends them
 // to the history.  `sentinel check` reduces the same files and compares
 // each metric against the *median of the trailing matching rows* (same
 // suite and quick flag; wall-clock metrics additionally require the same
@@ -22,8 +22,8 @@
 //   * ratio metrics  (kind "speedup")  — fail when current falls below the
 //     baseline by more than the tolerance (default -30%, e.g. the engine
 //     warm speedup);
-//   * exact metrics  (round counts)    — deterministic under the fixed
-//     bench seeds; any increase fails.
+//   * exact metrics  (round and message counts) — deterministic under the
+//     fixed bench seeds; any increase fails.
 //
 // Metrics with no matching baseline are reported and skipped — the first
 // run on a new host gates nothing and seeds the history instead.  CI runs
@@ -136,6 +136,13 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
     exact("model_rounds_total",
           sum_over_rows(doc.at("rows"), "model_rounds"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
+  } else if (out.suite == "dist") {
+    const JsonValue& recovery = doc.at("recovery");
+    exact("recovery_rounds_total", sum_over_rows(recovery, "recovery_rounds"));
+    exact("control_messages_total",
+          sum_over_rows(recovery, "control_messages"));
+    time("recovery_serial_ns_total", sum_over_rows(recovery, "dist_serial_ns"),
+         0.75);
   } else {
     return std::nullopt;  // unknown suite: nothing to gate
   }
@@ -228,8 +235,9 @@ void write_history_row(std::ostream& out, const SuiteRow& row,
 }
 
 const char* const kSuiteFiles[] = {
-    "BENCH_gossip.json", "BENCH_fault.json", "BENCH_engine.json",
-    "BENCH_scale.json",  "BENCH_churn.json", "BENCH_models.json",
+    "BENCH_gossip.json", "BENCH_fault.json",  "BENCH_engine.json",
+    "BENCH_scale.json",  "BENCH_churn.json",  "BENCH_models.json",
+    "BENCH_dist.json",
 };
 
 int usage() {
