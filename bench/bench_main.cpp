@@ -139,6 +139,7 @@ int run_suite(const std::string& out_path, bool quick) {
   w.begin_object();
   w.field("schema_version", 1);
   w.field("suite", "gossip");
+  w.field("quick", quick);
   w.key("rows").begin_array();
 
   bool all_ok = true;

@@ -6,6 +6,7 @@
 // is compared to re-running the whole gossip.
 #include <cstdio>
 
+#include "fault/fault.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
@@ -41,8 +42,10 @@ int main() {
     const auto root = sol.instance.tree().root();
     const std::size_t drop_round = sol.schedule.total_time() / 3;
 
+    fault::FaultPlan plan;
+    plan.drop(drop_round, root);
     sim::SimOptions faults;
-    faults.drop.emplace_back(drop_round, root);
+    faults.faults = &plan;
     const auto run = sim::simulate(sol.instance.tree().as_graph(),
                                    sol.schedule, sol.instance.initial(),
                                    faults);

@@ -183,6 +183,7 @@ int run_matrix(const std::string& out_path, bool quick) {
   w.begin_object();
   w.field("schema_version", 1);
   w.field("suite", "models");
+  w.field("quick", quick);
   w.field("native_cap", static_cast<std::uint64_t>(native_cap));
   w.key("rows").begin_array();
 

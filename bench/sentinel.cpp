@@ -1,7 +1,7 @@
 // Bench regression sentinel — the cross-PR perf-trajectory gate.
 //
 // Every BENCH_*.json artifact is regenerated and gated *in isolation*, so
-// a slow drift (or a clean 2x sim-core regression landing together with a
+// a slow drift (or a clean 2x simulator regression landing together with a
 // retuned gate) would pass CI.  The sentinel closes that hole with a
 // committed, append-only history file:
 //
@@ -108,8 +108,6 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
     exact("rounds_total", sum_over_rows(doc.at("rows"), "rounds"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
   } else if (out.suite == "fault") {
-    speedup("core_speedup_p50",
-            doc.at("sim_core").at("speedup_p50").as_number());
     time("sim_ns_p50", mean_over_rows(doc.at("rows"), "sim_ns_p50"));
     exact("extra_rounds_total",
           sum_over_rows(doc.at("rows"), "extra_rounds"));

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
@@ -53,8 +54,10 @@ int main(int argc, char** argv) {
 
   // Fault drill: the busiest relay misses one send slot.
   const auto root = multicast.instance.tree().root();
+  fault::FaultPlan plan;
+  plan.drop(multicast.schedule.total_time() / 2, root);
   sim::SimOptions faulty;
-  faulty.drop.emplace_back(multicast.schedule.total_time() / 2, root);
+  faulty.faults = &plan;
   const auto degraded =
       sim::simulate(multicast.instance.tree().as_graph(), multicast.schedule,
                     multicast.instance.initial(), faulty);

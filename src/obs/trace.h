@@ -2,9 +2,9 @@
 //
 // Producers (today: sim::simulate) push one TraceEvent per send/receive as
 // it happens, so a trace can be observed, counted, or serialized without
-// buffering the whole run in memory the way SimResult::trace does.  The
-// event fields are plain integers — obs stays independent of the graph and
-// schedule types, and any subsystem can adopt the interface.
+// buffering the whole run in memory.  The event fields are plain integers
+// — obs stays independent of the graph and schedule types, and any
+// subsystem can adopt the interface.
 #pragma once
 
 #include <cstdint>

@@ -12,246 +12,20 @@ namespace mg::sim {
 
 namespace {
 
-/// Shared execution core.  `hold` is the time-0 knowledge state (one bitset
-/// of `message_count` bits per node); completion means every node holds all
-/// `message_count` messages.
+/// Word-at-a-time execution core.  The hold state is one contiguous n x W
+/// uint64 matrix (W = ceil(message_count / 64)): a delivery is a single OR
+/// + popcount-free knowledge update, initial knowledge arrives popcounted,
+/// and in-flight arrivals live in a reused modular ring instead of a
+/// horizon-sized vector-of-vectors.  The allocation profile is O(1) vectors
+/// per run however large n gets.  tests/reference_sim.h keeps a per-bit
+/// executor of the same semantics as the oracle; sim_core_test pins every
+/// result field and the sink's JSONL against it.
 SimResult run_simulation(const graph::Graph& g,
                          const model::Schedule& schedule,
-                         std::vector<DynamicBitset> hold,
+                         std::vector<std::uint64_t> hold,
                          std::size_t message_count,
+                         std::vector<std::size_t> known,
                          const SimOptions& options) {
-  MG_OBS_SPAN(sim_span, "sim.simulate");
-  MG_OBS_SCOPE_HIST(sim_hist, "sim.run_ns");
-  const Vertex n = g.vertex_count();
-  MG_EXPECTS(hold.size() == n);
-  SimResult result;
-  result.completion_time.assign(n, 0);
-  result.missing.assign(n, 0);
-
-  // Fault sources: the legacy (round, sender) list folds into an O(1) hash
-  // set — one lookup per scheduled transmission, however many faults the
-  // plan carries — and a FaultPlan supplies the richer models.  Plan
-  // queries use absolute rounds (offset + local round) so recovery runs
-  // experience the same fabric the base run did.
-  fault::DropSet legacy_drops;
-  for (const auto& [round, sender] : options.drop) {
-    legacy_drops.insert(round, sender);
-  }
-  const fault::FaultPlan* plan =
-      options.faults != nullptr && !options.faults->empty() ? options.faults
-                                                            : nullptr;
-  const std::size_t offset = options.fault_round_offset;
-  const bool collisions =
-      options.comm != nullptr && options.comm->collision_loss();
-  // Round-stamped channel state for the collision verdict, sized only when
-  // a collision-loss model is active — the default path allocates nothing.
-  std::vector<std::size_t> last_tx(collisions ? n : 0, SIZE_MAX);
-  std::vector<std::size_t> heard_round(collisions ? n : 0, SIZE_MAX);
-  std::vector<std::uint8_t> heard_count(collisions ? n : 0, 0);
-
-  std::vector<std::size_t> known(n, 0);
-  std::size_t total_known = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    known[v] = hold[v].count();
-    total_known += known[v];
-  }
-
-  // Causal stamps for sink events: a process-unique id per transmission
-  // that hits the wire, and per (node, message) the id of the first emitted
-  // delivery — the happens-before parent of any later relay by that node
-  // (0 = held initially).  Allocated only when a sink observes the run; the
-  // sink-free paths pay nothing.
-  std::uint64_t next_trace = 0;
-  std::vector<std::uint64_t> first_arrival(
-      options.sink != nullptr ? static_cast<std::size_t>(n) * message_count
-                              : 0,
-      0);
-
-  const std::size_t rounds = schedule.round_count();
-  const std::size_t horizon =
-      rounds + (plan != nullptr ? plan->max_extra_delay() : 0);
-
-  // Deliveries land at send round + 1 + edge delay (receive-before-send):
-  // buffer arrivals by time and apply them before that round's sends.
-  std::vector<std::vector<std::pair<Vertex, Message>>> in_flight(horizon + 1);
-  auto apply_arrivals = [&](std::size_t receive_time) {
-    for (const auto& [r, m] : in_flight[receive_time]) {
-      if (!hold[r].test(m)) {
-        hold[r].set(m);
-        ++known[r];
-        ++total_known;
-        if (known[r] == message_count) {
-          result.completion_time[r] = receive_time;
-        }
-      }
-    }
-    in_flight[receive_time].clear();
-  };
-
-  std::uint64_t deliveries = 0;
-  result.knowledge.push_back(total_known);  // state at time 0
-  for (std::size_t t = 0; t < rounds; ++t) {
-    if (t > 0) {
-      apply_arrivals(t);
-      result.knowledge.push_back(total_known);  // state at time t
-    }
-    const std::size_t abs_t = offset + t;
-    if (collisions) {
-      // Channel pre-pass: who actually transmits this round (the same
-      // crash/drop/hold verdicts as the delivery loop below — all pure
-      // queries) and how many transmissions each receiver hears.
-      for (const model::Tx& tx : schedule.round(t)) {
-        if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
-        if (legacy_drops.contains(t, tx.sender) ||
-            (plan != nullptr && plan->drops(abs_t, tx.sender))) {
-          continue;
-        }
-        if (!hold[tx.sender].test(tx.message)) continue;
-        last_tx[tx.sender] = t;
-        for (Vertex r : schedule.receivers(tx)) {
-          if (heard_round[r] != t) {
-            heard_round[r] = t;
-            heard_count[r] = 0;
-          }
-          if (heard_count[r] < 2) ++heard_count[r];
-        }
-      }
-    }
-    for (const model::Tx& tx : schedule.round(t)) {
-      const auto receivers = schedule.receivers(tx);
-      const Vertex first_receiver =
-          receivers.empty() ? tx.sender : receivers.front();
-      if (plan != nullptr && plan->crashed(tx.sender, abs_t)) {
-        ++result.crashed_sends;
-        if (options.sink != nullptr) {
-          options.sink->on_event({"crash", t, tx.sender, tx.message,
-                                  first_receiver, receivers.size()});
-        }
-        continue;
-      }
-      if (legacy_drops.contains(t, tx.sender) ||
-          (plan != nullptr && plan->drops(abs_t, tx.sender))) {
-        ++result.injected_drops;
-        if (options.sink != nullptr) {
-          options.sink->on_event({"drop", t, tx.sender, tx.message,
-                                  first_receiver, receivers.size()});
-        }
-        continue;
-      }
-      if (!hold[tx.sender].test(tx.message)) {
-        ++result.skipped_sends;  // fault cascade: nothing to forward
-        if (options.sink != nullptr) {
-          options.sink->on_event({"skip", t, tx.sender, tx.message,
-                                  first_receiver, receivers.size()});
-        }
-        continue;
-      }
-      if (options.record_trace) {
-        result.trace.push_back(
-            {SimEvent::Kind::kSend, t, tx.sender, tx.message, first_receiver});
-      }
-      std::uint64_t send_trace = 0;
-      if (options.sink != nullptr) {
-        send_trace = ++next_trace;
-        options.sink->on_event(
-            {"send", t, tx.sender, tx.message, first_receiver,
-             receivers.size(), send_trace,
-             first_arrival[static_cast<std::size_t>(tx.sender) *
-                               message_count +
-                           tx.message]});
-      }
-      for (Vertex r : receivers) {
-        if (collisions && (last_tx[r] == t || heard_count[r] >= 2)) {
-          // heard_round[r] == t is guaranteed: this very transmission was
-          // counted in the pre-pass.  The receiver decodes nothing — either
-          // it was itself transmitting (half-duplex) or >= 2 transmissions
-          // superimposed.
-          ++result.collided_receives;
-          if (options.sink != nullptr) {
-            options.sink->on_event(
-                {"collide", t, r, tx.message, tx.sender, 0});
-          }
-          continue;
-        }
-        const std::size_t arrival =
-            t + 1 +
-            (plan != nullptr ? plan->extra_delay(tx.sender, r) : 0);
-        if (plan != nullptr && plan->crashed(r, offset + arrival)) {
-          ++result.lost_receives;  // receiver dead (or dies in flight)
-          if (options.sink != nullptr) {
-            options.sink->on_event(
-                {"lost", arrival, r, tx.message, tx.sender, 0});
-          }
-          continue;
-        }
-        result.total_time = std::max(result.total_time, arrival);
-        if (options.record_trace) {
-          result.trace.push_back(
-              {SimEvent::Kind::kReceive, arrival, r, tx.message, tx.sender});
-        }
-        if (options.sink != nullptr) {
-          options.sink->on_event({"receive", arrival, r, tx.message,
-                                  tx.sender, 0, send_trace});
-          const std::size_t fa =
-              static_cast<std::size_t>(r) * message_count + tx.message;
-          if (first_arrival[fa] == 0 && !hold[r].test(tx.message)) {
-            first_arrival[fa] = send_trace;
-          }
-        }
-        ++deliveries;
-        in_flight[arrival].emplace_back(r, tx.message);
-      }
-    }
-  }
-  // Drain: arrivals at and past the last send round (delays can push the
-  // final deliveries past the schedule's own horizon).
-  for (std::size_t t = std::max<std::size_t>(rounds, 1); t <= horizon; ++t) {
-    apply_arrivals(t);
-    result.knowledge.push_back(total_known);  // state at time t
-  }
-
-  result.completed = true;
-  for (Vertex v = 0; v < n; ++v) {
-    result.missing[v] = message_count - known[v];
-    if (result.missing[v] != 0) result.completed = false;
-  }
-  if (options.keep_final_holds) result.final_holds = std::move(hold);
-
-  MG_OBS_ADD("sim.runs", 1);
-  MG_OBS_ADD("sim.deliveries", deliveries);
-  MG_OBS_ADD("sim.dropped_transmissions", result.injected_drops);
-  MG_OBS_ADD("sim.skipped_sends", result.skipped_sends);
-  if (result.collided_receives > 0) {
-    MG_OBS_ADD("sim.collided_receives", result.collided_receives);
-  }
-  if (result.injected_drops > 0) {
-    MG_OBS_ADD("fault.injected_drops", result.injected_drops);
-  }
-  if (plan != nullptr && plan->has_crashes()) {
-    MG_OBS_ADD("fault.crashes", plan->crashes_before(offset + rounds));
-  }
-  if (result.completed && !result.completion_time.empty()) {
-    MG_OBS_ADD("sim.completion_round",
-               *std::max_element(result.completion_time.begin(),
-                                 result.completion_time.end()));
-  }
-  return result;
-}
-
-/// Word-at-a-time execution core.  Same semantics, events and counters as
-/// `run_simulation` (the bit core above is kept as the oracle;
-/// sim_core_test pins full-result equality), but the hold state is one
-/// contiguous n x W uint64 matrix (W = ceil(message_count / 64)): a
-/// delivery is a single OR + popcount-free knowledge update, initial
-/// knowledge is popcounted word-wise, and in-flight arrivals live in a
-/// reused modular ring instead of a horizon-sized vector-of-vectors.  The
-/// allocation profile is O(1) vectors per run however large n gets.
-SimResult run_simulation_words(const graph::Graph& g,
-                               const model::Schedule& schedule,
-                               std::vector<std::uint64_t> hold,
-                               std::size_t message_count,
-                               std::vector<std::size_t> known,
-                               const SimOptions& options) {
   MG_OBS_SPAN(sim_span, "sim.simulate");
   MG_OBS_SCOPE_HIST(sim_hist, "sim.run_ns");
   const Vertex n = g.vertex_count();
@@ -262,10 +36,8 @@ SimResult run_simulation_words(const graph::Graph& g,
   result.completion_time.assign(n, 0);
   result.missing.assign(n, 0);
 
-  fault::DropSet legacy_drops;
-  for (const auto& [round, sender] : options.drop) {
-    legacy_drops.insert(round, sender);
-  }
+  // Plan queries use absolute rounds (offset + local round) so recovery
+  // runs experience the same fabric the base run did.
   const fault::FaultPlan* plan =
       options.faults != nullptr && !options.faults->empty() ? options.faults
                                                             : nullptr;
@@ -286,8 +58,10 @@ SimResult run_simulation_words(const graph::Graph& g,
   std::size_t total_known = 0;
   for (Vertex v = 0; v < n; ++v) total_known += known[v];
 
-  // Causal stamps for sink events — character-for-character the bit core's
-  // scheme (sim_core_test pins byte-identical JSONL between the cores).
+  // Causal stamps for sink events: a process-unique id per transmission
+  // that hits the wire, and per (node, message) the id of the first emitted
+  // delivery — the happens-before parent of any later relay by that node
+  // (0 = held initially).  Allocated only when a sink observes the run.
   std::uint64_t next_trace = 0;
   std::vector<std::uint64_t> first_arrival(
       options.sink != nullptr ? static_cast<std::size_t>(n) * message_count
@@ -327,17 +101,18 @@ SimResult run_simulation_words(const graph::Graph& g,
   };
 
   std::uint64_t deliveries = 0;
-  const bool has_legacy_drops = !legacy_drops.empty();
   result.knowledge.reserve(rounds + 1);
   result.knowledge.push_back(total_known);  // state at time 0
 
-  // Fault-free, untraced runs — the repeated-runner configuration — take a
-  // stripped copy of the round loop below with the plan/drop/trace/sink
-  // branches statically absent.  Identical events and counters; the
-  // general loop is the reference and sim_core_test pins the equality.
-  const bool fast_path = plan == nullptr && !has_legacy_drops &&
-                         options.sink == nullptr && !options.record_trace &&
-                         !collisions;
+  // Fault-free, unobserved runs — the repeated-runner configuration — take a
+  // stripped copy of the round loop below with the plan, sink and collision
+  // branches statically absent.  The copy stays because it pays: sent
+  // through the general loop, fault-free ConcurrentUpDown runs on n = 1024
+  // networks took 25% longer (Release build).  sim_core_test runs every
+  // sweep case with and without a sink, so both loops meet the reference
+  // executor.
+  const bool fast_path =
+      plan == nullptr && options.sink == nullptr && !collisions;
   if (fast_path) {
     for (std::size_t t = 0; t < rounds; ++t) {
       if (t > 0) {
@@ -380,9 +155,8 @@ SimResult run_simulation_words(const graph::Graph& g,
       // crash/drop/hold verdicts as the delivery loop below — all pure
       // queries) and how many transmissions each receiver hears.
       for (const model::Tx& tx : schedule.round(t)) {
-        if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
-        if ((has_legacy_drops && legacy_drops.contains(t, tx.sender)) ||
-            (plan != nullptr && plan->drops(abs_t, tx.sender))) {
+        if (plan != nullptr && (plan->crashed(tx.sender, abs_t) ||
+                                plan->drops(abs_t, tx.sender))) {
           continue;
         }
         if (!sender_holds_message(tx.sender, tx.message)) continue;
@@ -408,8 +182,7 @@ SimResult run_simulation_words(const graph::Graph& g,
         }
         continue;
       }
-      if ((has_legacy_drops && legacy_drops.contains(t, tx.sender)) ||
-          (plan != nullptr && plan->drops(abs_t, tx.sender))) {
+      if (plan != nullptr && plan->drops(abs_t, tx.sender)) {
         ++result.injected_drops;
         if (options.sink != nullptr) {
           options.sink->on_event({"drop", t, tx.sender, tx.message,
@@ -431,10 +204,6 @@ SimResult run_simulation_words(const graph::Graph& g,
                                   first_receiver, receivers.size()});
         }
         continue;
-      }
-      if (options.record_trace) {
-        result.trace.push_back(
-            {SimEvent::Kind::kSend, t, tx.sender, tx.message, first_receiver});
       }
       std::uint64_t send_trace = 0;
       if (options.sink != nullptr) {
@@ -472,10 +241,6 @@ SimResult run_simulation_words(const graph::Graph& g,
           continue;
         }
         result.total_time = std::max(result.total_time, arrival);
-        if (options.record_trace) {
-          result.trace.push_back(
-              {SimEvent::Kind::kReceive, arrival, r, tx.message, tx.sender});
-        }
         if (options.sink != nullptr) {
           options.sink->on_event({"receive", arrival, r, tx.message,
                                   tx.sender, 0, send_trace});
@@ -491,7 +256,8 @@ SimResult run_simulation_words(const graph::Graph& g,
       }
     }
   }
-  // Drain: arrivals at and past the last send round.
+  // Drain: arrivals at and past the last send round (delays can push the
+  // final deliveries past the schedule's own horizon).
   for (std::size_t t = std::max<std::size_t>(rounds, 1); t <= horizon; ++t) {
     apply_arrivals(t);
     result.knowledge.push_back(total_known);  // state at time t
@@ -536,27 +302,6 @@ SimResult run_simulation_words(const graph::Graph& g,
   return result;
 }
 
-/// Flattens per-node bitsets into the word core's hold matrix + popcounts.
-SimResult run_words_from_bitsets(const graph::Graph& g,
-                                 const model::Schedule& schedule,
-                                 const std::vector<DynamicBitset>& holds,
-                                 std::size_t message_count,
-                                 const SimOptions& options) {
-  const Vertex n = g.vertex_count();
-  const std::size_t words = (message_count + 63) / 64;
-  std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
-  std::vector<std::size_t> known(n, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto& src = holds[v].words();
-    std::copy(src.begin(), src.end(),
-              hold.begin() + static_cast<std::ptrdiff_t>(
-                                 static_cast<std::size_t>(v) * words));
-    known[v] = holds[v].count();
-  }
-  return run_simulation_words(g, schedule, std::move(hold), message_count,
-                              std::move(known), options);
-}
-
 }  // namespace
 
 SimResult simulate(const graph::Graph& g, const model::Schedule& schedule,
@@ -569,11 +314,6 @@ SimResult simulate(const graph::Graph& g, const model::Schedule& schedule,
     for (Vertex v = 0; v < n; ++v) origin[v] = v;
   }
   MG_EXPECTS(origin.size() == n);
-  if (options.core == SimCore::kBitwise) {
-    std::vector<DynamicBitset> hold(n, DynamicBitset(n));
-    for (Vertex v = 0; v < n; ++v) hold[v].set(origin[v]);
-    return run_simulation(g, schedule, std::move(hold), n, options);
-  }
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
   std::vector<std::size_t> known(n, 0);
@@ -583,8 +323,8 @@ SimResult simulate(const graph::Graph& g, const model::Schedule& schedule,
         std::uint64_t{1} << (origin[v] & 63);
     known[v] = 1;
   }
-  return run_simulation_words(g, schedule, std::move(hold), n,
-                              std::move(known), options);
+  return run_simulation(g, schedule, std::move(hold), n, std::move(known),
+                        options);
 }
 
 SimResult simulate_from_holds(const graph::Graph& g,
@@ -595,11 +335,19 @@ SimResult simulate_from_holds(const graph::Graph& g,
   MG_EXPECTS(initial_holds.size() == n);
   const std::size_t message_count = n == 0 ? 0 : initial_holds[0].size();
   for (const auto& h : initial_holds) MG_EXPECTS(h.size() == message_count);
-  if (options.core == SimCore::kBitwise) {
-    return run_simulation(g, schedule, initial_holds, message_count, options);
+  // Flatten the per-node bitsets into the hold matrix + popcounts.
+  const std::size_t words = (message_count + 63) / 64;
+  std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
+  std::vector<std::size_t> known(n, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    const auto& src = initial_holds[v].words();
+    std::copy(src.begin(), src.end(),
+              hold.begin() + static_cast<std::ptrdiff_t>(
+                                 static_cast<std::size_t>(v) * words));
+    known[v] = initial_holds[v].count();
   }
-  return run_words_from_bitsets(g, schedule, initial_holds, message_count,
-                                options);
+  return run_simulation(g, schedule, std::move(hold), message_count,
+                        std::move(known), options);
 }
 
 }  // namespace mg::sim

@@ -1,11 +1,11 @@
 // Round-based network simulator.  Where the model validator *enforces* the
 // communication rules, the simulator *executes* a schedule and reports what
 // the network observes: per-node knowledge curves, completion times, an
-// event trace, and behaviour under injected faults.  Faults come from a
-// composable `fault::FaultPlan` (seeded probabilistic link drops,
-// deterministic drop sets, crash-stop processors, per-edge delivery delay);
-// gossip completion then degrades, which the adversarial fault tests
-// assert, and `gossip::solve_with_recovery` repairs.
+// event stream (`SimOptions::sink`), and behaviour under injected faults.
+// Faults come from a composable `fault::FaultPlan` (seeded probabilistic
+// link drops, deterministic drop sets, crash-stop processors, per-edge
+// delivery delay); gossip completion then degrades, which the adversarial
+// fault tests assert, and `gossip::solve_with_recovery` repairs.
 #pragma once
 
 #include <cstdint>
@@ -23,35 +23,11 @@ namespace mg::sim {
 using graph::Vertex;
 using model::Message;
 
-/// Execution core selection.  Both cores are event-for-event identical
-/// (same results, traces, sink streams and counters — pinned by
-/// sim_core_test's differential sweep); kBitwise is the original
-/// bitset-per-node implementation kept as the oracle.
-enum class SimCore : std::uint8_t {
-  /// Flat word-at-a-time core: one contiguous n x ceil(mc/64) uint64 hold
-  /// matrix walked against the schedule's CSR arrays, deliveries as
-  /// single-word OR with popcount-maintained knowledge counters.  The
-  /// default.
-  kWordParallel,
-  /// Legacy core: one DynamicBitset per node, per-bit test/set.
-  kBitwise,
-};
-
 struct SimOptions {
-  /// Which execution core runs the schedule.
-  SimCore core = SimCore::kWordParallel;
   /// When false, `SimResult::final_holds` is left empty — at million-node
   /// scale materializing n bitsets can dwarf the simulation itself, and
   /// callers that only want completion/timing can skip it.
   bool keep_final_holds = true;
-  /// Record the full send/receive event trace (O(deliveries) memory).
-  bool record_trace = false;
-  /// Transmissions to drop, addressed as (round, sender).  Every matching
-  /// transmission is suppressed entirely (no receiver gets the message).
-  /// Folded into an O(1) hash set at simulation start; kept as a vector
-  /// for construction convenience and backward compatibility — richer
-  /// fault models (probabilistic drops, crashes, delays) go in `faults`.
-  std::vector<std::pair<std::size_t, Vertex>> drop;
   /// Composable fault model applied to the run; nullptr = fault-free.
   const fault::FaultPlan* faults = nullptr;
   /// Absolute round of this schedule's round 0 from the fault plan's point
@@ -59,14 +35,13 @@ struct SimOptions {
   /// plan-absolute rounds while recovery schedules execute after the base
   /// schedule's horizon.
   std::size_t fault_round_offset = 0;
-  /// Streaming alternative to record_trace: every send/receive event is
-  /// pushed here as it happens ("send" carries the fan-out |D|), and so is
-  /// every fault loss — "drop" (link drop), "crash" (sender dead), "skip"
-  /// (sender never received the message: a drop's downstream cascade) and
-  /// "lost" (receiver dead at arrival).  Fault kinds carry the same fields
-  /// as the send/receive they suppressed, so a round-timeline sink (see
-  /// gossip/timeline.h) can attribute every loss to its round.  Works
-  /// independently of record_trace; nullptr disables streaming.
+  /// Event stream: every send/receive event is pushed here as it happens
+  /// ("send" carries the fan-out |D|), and so is every fault loss — "drop"
+  /// (link drop), "crash" (sender dead), "skip" (sender never received the
+  /// message: a drop's downstream cascade) and "lost" (receiver dead at
+  /// arrival).  Fault kinds carry the same fields as the send/receive they
+  /// suppressed, so a round-timeline sink (see gossip/timeline.h) can
+  /// attribute every loss to its round.  nullptr disables streaming.
   obs::TraceSink* sink = nullptr;
   /// Communication model the network executes under; nullptr = the paper's
   /// multicast model.  Exclusive-receiver models (multicast, telephone,
@@ -79,15 +54,6 @@ struct SimOptions {
   /// send round, before per-edge delay faults displace arrival times — a
   /// collision is a channel event, not a delivery event.
   const model::CommModel* comm = nullptr;
-};
-
-struct SimEvent {
-  enum class Kind : std::uint8_t { kSend, kReceive };
-  Kind kind = Kind::kSend;
-  std::size_t time = 0;
-  Vertex node = 0;
-  Message message = 0;
-  Vertex peer = 0;  ///< first receiver for kSend; sender for kReceive
 };
 
 struct SimResult {
@@ -107,7 +73,7 @@ struct SimResult {
   /// the downstream cascade of an injected drop.
   std::size_t skipped_sends = 0;
   /// Transmissions suppressed by the fault model (deterministic +
-  /// probabilistic link drops, including the legacy `drop` list).
+  /// probabilistic link drops).
   std::size_t injected_drops = 0;
   /// Transmissions suppressed because the sender had crashed.
   std::size_t crashed_sends = 0;
@@ -121,7 +87,6 @@ struct SimResult {
   /// Final per-node hold sets (bit m = node knows message m) — the input
   /// for gossip recovery after a faulty run.
   std::vector<DynamicBitset> final_holds;
-  std::vector<SimEvent> trace;  ///< populated when record_trace
 };
 
 /// Executes `schedule` on network `g`.  `initial[v]` is the message held by

@@ -2,13 +2,12 @@
 //
 // The consuming side of obs::JsonWriter: the bench regression sentinel
 // parses the BENCH_*.json artifacts and the BENCH_HISTORY.jsonl rows it
-// gates on, and per the no-external-dependency rule that parser lives
-// here rather than in a vendored library.  Covers exactly the grammar the
+// gates on, and the tests round-trip every JSON emitter through it.  Per
+// the no-external-dependency rule that parser lives here rather than in a
+// vendored library.  Covers exactly the grammar the
 // repo's writers produce — strings with escape sequences, numbers, bools,
 // null, nested objects/arrays — and rejects everything else by throwing
 // `JsonError` (callers present the message; there is no partial result).
-// tests/json_parser.h is the gtest-flavored sibling used inside test
-// binaries; keep the grammars in sync.
 #pragma once
 
 #include <cctype>

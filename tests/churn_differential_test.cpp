@@ -51,10 +51,7 @@ void expect_schedule_sound(const Graph& g, const churn::ChurnSolver& solver,
       g, solver.schedule(), solver.initial(), {});
   ASSERT_TRUE(validation.ok) << validation.error;
 
-  sim::SimOptions sim_options;
-  sim_options.core = sim::SimCore::kWordParallel;
-  const auto run = sim::simulate(g, solver.schedule(), solver.initial(),
-                                 sim_options);
+  const auto run = sim::simulate(g, solver.schedule(), solver.initial());
   ASSERT_TRUE(run.completed);
   ASSERT_EQ(run.total_time, solver.schedule().total_time());
 

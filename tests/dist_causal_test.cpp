@@ -13,7 +13,7 @@
 // wire), independence from the bus seed (copies of one message that land
 // in one inbox together tie by trace id, not by delivery order), the
 // CausalTracer mirror, and the flow-trace JSON round-trip
-// through the shared test parser are checked alongside.  RunReport.causal
+// through the repo's JSON reader are checked alongside.  RunReport.causal
 // is always recorded (independent of MG_OBS), so everything except the
 // mirror test also gates the -DMG_OBS=OFF build.
 #include <gtest/gtest.h>
@@ -30,17 +30,17 @@
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
-#include "json_parser.h"
 #include "obs/causal.h"
 #include "obs/trace_export.h"
+#include "support/json_read.h"
 #include "support/rng.h"
 #include "test_util.h"
 
 namespace mg::dist {
 namespace {
 
-using testjson::JsonValue;
-using testjson::Parser;
+using support::JsonValue;
+using support::parse_json;
 
 /// Asserts the structural invariants of a reported critical path: the
 /// chain starts at a root (parent 0), every later hop's parent is the
@@ -267,8 +267,7 @@ TEST(DistCausal, FlowTraceRoundTripsThroughParser) {
   std::ostringstream out;
   obs::write_chrome_trace(out, {}, flows);
   const std::string text = out.str();
-  Parser parser(text);
-  const JsonValue doc = parser.parse();
+  const JsonValue doc = parse_json(text);
   const JsonValue& events = doc.at("traceEvents");
   ASSERT_EQ(events.kind, JsonValue::Kind::kArray);
 

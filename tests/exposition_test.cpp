@@ -1,7 +1,7 @@
 // mg::obs exposition + sampler tests (ISSUE 10): the Prometheus text
 // renderer (name sanitization, label escaping, cumulative bucket series,
 // summary consistency, byte-stable ordering), the JSON exposition's
-// round-trip through the shared test parser, and the background Sampler's
+// round-trip through the repo's JSON reader, and the background Sampler's
 // delta semantics, ring eviction, and both off switches.  Every test here
 // must also pass with -DMG_OBS=OFF: snapshots are built from local metric
 // objects (always compiled), and the compiled-out differences (sampler
@@ -15,17 +15,17 @@
 #include <utility>
 #include <vector>
 
-#include "json_parser.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
+#include "support/json_read.h"
 
 namespace mg::obs {
 namespace {
 
-using testjson::JsonValue;
-using testjson::Parser;
+using support::JsonValue;
+using support::parse_json;
 
 // ---------------------------------------------------------------------------
 // Name sanitization and label escaping
@@ -178,8 +178,7 @@ TEST(Exposition, JsonRoundTripThroughParser) {
   std::ostringstream out;
   JsonExposition{}.expose(snap, out);
   const std::string text = out.str();
-  Parser parser(text);
-  const JsonValue doc = parser.parse();
+  const JsonValue doc = parse_json(text);
   EXPECT_EQ(doc.at("counters").at("sends").as_u64(), 17u);
   EXPECT_EQ(doc.at("timers").at("solve").at("total_ns").as_u64(), 250u);
   EXPECT_EQ(doc.at("timers").at("solve").at("count").as_u64(), 3u);
@@ -306,8 +305,7 @@ TEST(Sampler, WriteJsonRoundTripsThroughParser) {
   std::ostringstream out;
   sampler.write_json(out);
   const std::string text = out.str();
-  Parser parser(text);
-  const JsonValue doc = parser.parse();
+  const JsonValue doc = parse_json(text);
   EXPECT_EQ(doc.at("schema_version").as_u64(), 1u);
   EXPECT_EQ(doc.at("cadence_ms").as_u64(), 25u);
   EXPECT_EQ(doc.at("samples_taken").as_u64(), 2u);

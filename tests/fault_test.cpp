@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "obs/registry.h"
+#include "obs/trace.h"
 #include "sim/network_sim.h"
 
 namespace mg {
@@ -21,6 +25,22 @@ struct SolvedRun {
   gossip::Solution sol;
   graph::Graph tree;
   std::vector<model::Message> initial;
+};
+
+/// Keeps the "send" and "receive" events a simulation streams.
+struct RecordingSink final : obs::TraceSink {
+  struct Event {
+    std::string kind;
+    std::uint64_t time = 0;
+    std::uint64_t node = 0;
+  };
+  std::vector<Event> events;
+
+  void on_event(const obs::TraceEvent& event) override {
+    if (event.kind == "send" || event.kind == "receive") {
+      events.push_back({std::string(event.kind), event.time, event.node});
+    }
+  }
 };
 
 SolvedRun make_run(const graph::Graph& g) {
@@ -63,32 +83,22 @@ TEST(FaultPlan, EmptyPlanPerturbsNothing) {
   EXPECT_EQ(faulty.injected_drops, 0u);
 }
 
-TEST(FaultPlan, DeterministicDropMatchesLegacyDropList) {
-  // The legacy (round, sender) vector and a FaultPlan deterministic drop
-  // must produce identical degraded runs — the vector is now folded into
-  // the same O(1) DropSet the plan uses.
+TEST(FaultPlan, DeterministicDropsDegradeASimulation) {
+  // Two (round, sender) drops on the paper's Fig. 4 network: both
+  // transmissions are suppressed, their cascade skips later relays, and the
+  // run cannot complete.
   const SolvedRun run = make_run(graph::fig4_network());
   const graph::Vertex root = run.sol.instance.tree().root();
-
-  sim::SimOptions legacy;
-  legacy.drop.emplace_back(5, root);
-  legacy.drop.emplace_back(7, graph::Vertex{4});
-  const auto legacy_run =
-      sim::simulate(run.tree, run.sol.schedule, run.initial, legacy);
-
   fault::FaultPlan plan;
   plan.drop(5, root).drop(7, 4);
-  sim::SimOptions with_plan;
-  with_plan.faults = &plan;
-  const auto plan_run =
-      sim::simulate(run.tree, run.sol.schedule, run.initial, with_plan);
+  sim::SimOptions options;
+  options.faults = &plan;
+  const auto faulty =
+      sim::simulate(run.tree, run.sol.schedule, run.initial, options);
 
-  EXPECT_FALSE(plan_run.completed);
-  EXPECT_EQ(plan_run.injected_drops, legacy_run.injected_drops);
-  EXPECT_EQ(plan_run.skipped_sends, legacy_run.skipped_sends);
-  EXPECT_EQ(plan_run.missing, legacy_run.missing);
-  EXPECT_EQ(plan_run.final_holds, legacy_run.final_holds);
-  EXPECT_EQ(plan_run.knowledge, legacy_run.knowledge);
+  EXPECT_FALSE(faulty.completed);
+  EXPECT_EQ(faulty.injected_drops, 2u);
+  EXPECT_GT(faulty.skipped_sends, 0u);
 }
 
 TEST(FaultPlan, ProbabilisticDropsAreReproducibleAndSeedSensitive) {
@@ -160,22 +170,19 @@ TEST(FaultPlan, CrashStopSilencesAProcessor) {
   fault::FaultPlan plan;
   plan.crash(root, 3);
 
+  RecordingSink events;
   sim::SimOptions options;
   options.faults = &plan;
-  options.record_trace = true;
+  options.sink = &events;
   const auto faulty =
       sim::simulate(run.tree, run.sol.schedule, run.initial, options);
 
   EXPECT_FALSE(faulty.completed);
   EXPECT_GT(faulty.crashed_sends, 0u);
-  for (const auto& event : faulty.trace) {
-    if (event.kind == sim::SimEvent::Kind::kSend) {
-      EXPECT_TRUE(event.node != root || event.time < 3)
-          << "crashed processor sent at t=" << event.time;
-    } else {
-      EXPECT_TRUE(event.node != root || event.time < 3)
-          << "crashed processor received at t=" << event.time;
-    }
+  EXPECT_FALSE(events.events.empty());
+  for (const RecordingSink::Event& event : events.events) {
+    EXPECT_TRUE(event.node != root || event.time < 3)
+        << "crashed processor " << event.kind << " at t=" << event.time;
   }
   // The paper's schedules funnel everything through the root: killing it
   // early starves every other processor of remote messages.

@@ -7,11 +7,12 @@
 // The refactor's safety gate rides here too: passing the default multicast
 // model explicitly (`SimOptions::comm = &multicast_model()`,
 // `ValidatorOptions::model = &multicast_model()`) must reproduce the
-// implicit default bit for bit — every SimResult field, every trace event,
-// every validator report field — on both execution cores.
+// implicit default bit for bit — every SimResult field, every streamed
+// sink event, every validator report field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 
 #include "fault/fault.h"
@@ -19,6 +20,7 @@
 #include "model/comm_model.h"
 #include "model/legalize.h"
 #include "model/validator.h"
+#include "obs/trace.h"
 #include "sim/network_sim.h"
 #include "test_util.h"
 
@@ -42,14 +44,27 @@ void expect_sim_equal(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(a.lost_receives, b.lost_receives);
   EXPECT_EQ(a.collided_receives, b.collided_receives);
   EXPECT_EQ(a.final_holds, b.final_holds);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].kind, b.trace[i].kind) << "event " << i;
-    EXPECT_EQ(a.trace[i].time, b.trace[i].time) << "event " << i;
-    EXPECT_EQ(a.trace[i].node, b.trace[i].node) << "event " << i;
-    EXPECT_EQ(a.trace[i].message, b.trace[i].message) << "event " << i;
-    EXPECT_EQ(a.trace[i].peer, b.trace[i].peer) << "event " << i;
-  }
+}
+
+/// Simulates `sol` on `tree` twice, once as `implicit` says and once with
+/// the multicast model passed explicitly, each streaming JSONL to a sink:
+/// results and streams must be identical.
+void expect_explicit_default_identical(const gossip::Solution& sol,
+                                       const graph::Graph& tree,
+                                       sim::SimOptions implicit) {
+  std::ostringstream implicit_jsonl;
+  std::ostringstream explicit_jsonl;
+  obs::JsonLinesTraceSink implicit_sink(implicit_jsonl);
+  obs::JsonLinesTraceSink explicit_sink(explicit_jsonl);
+  sim::SimOptions explicit_default = implicit;
+  implicit.sink = &implicit_sink;
+  explicit_default.sink = &explicit_sink;
+  explicit_default.comm = &model::multicast_model();
+  expect_sim_equal(
+      sim::simulate(tree, sol.schedule, sol.instance.initial(), implicit),
+      sim::simulate(tree, sol.schedule, sol.instance.initial(),
+                    explicit_default));
+  EXPECT_EQ(implicit_jsonl.str(), explicit_jsonl.str());
 }
 
 void expect_report_equal(const model::ValidationReport& a,
@@ -62,8 +77,8 @@ void expect_report_equal(const model::ValidationReport& a,
 }
 
 // The explicit default model must be indistinguishable from no model at
-// all: same simulator results (events, traces, final holds) on both cores,
-// same validator reports.
+// all: same simulator results (events, sink streams, final holds), same
+// validator reports.
 TEST(ModelMatrix, DefaultModelBitIdentical) {
   for (const auto& family : test::families()) {
     const graph::Graph g = family.make(6);
@@ -73,19 +88,7 @@ TEST(ModelMatrix, DefaultModelBitIdentical) {
       ASSERT_TRUE(sol.report.ok) << sol.report.error;
       const graph::Graph tree = sol.instance.tree().as_graph();
 
-      for (const sim::SimCore core :
-           {sim::SimCore::kWordParallel, sim::SimCore::kBitwise}) {
-        sim::SimOptions implicit;
-        implicit.core = core;
-        implicit.record_trace = true;
-        sim::SimOptions explicit_default = implicit;
-        explicit_default.comm = &model::multicast_model();
-        expect_sim_equal(
-            sim::simulate(tree, sol.schedule, sol.instance.initial(),
-                          implicit),
-            sim::simulate(tree, sol.schedule, sol.instance.initial(),
-                          explicit_default));
-      }
+      expect_explicit_default_identical(sol, tree, {});
 
       model::ValidatorOptions with_model;
       with_model.model = &model::multicast_model();
@@ -182,8 +185,8 @@ TEST(ModelMatrix, NativeSchedulersValidateAndComplete) {
 }
 
 // Fault plans compose with the model hook: under the default model a
-// faulted run is bit-identical with and without the explicit model, on both
-// cores — the refactor must not perturb fault semantics.
+// faulted run is bit-identical with and without the explicit model — the
+// refactor must not perturb fault semantics.
 TEST(ModelMatrix, FaultPlansIdenticalUnderExplicitDefault) {
   for (const auto& family : test::families()) {
     const graph::Graph g = family.make(6);
@@ -195,22 +198,10 @@ TEST(ModelMatrix, FaultPlansIdenticalUnderExplicitDefault) {
     fault::FaultPlan plan;
     plan.drop_rate(0.15).seed(0xfadeULL);
     plan.crash(g.vertex_count() / 2, 3);
-    for (const sim::SimCore core :
-         {sim::SimCore::kWordParallel, sim::SimCore::kBitwise}) {
-      SCOPED_TRACE(family.name + (core == sim::SimCore::kBitwise
-                                      ? " bitwise"
-                                      : " word"));
-      sim::SimOptions implicit;
-      implicit.core = core;
-      implicit.faults = &plan;
-      implicit.record_trace = true;
-      sim::SimOptions explicit_default = implicit;
-      explicit_default.comm = &model::multicast_model();
-      expect_sim_equal(
-          sim::simulate(tree, sol.schedule, sol.instance.initial(), implicit),
-          sim::simulate(tree, sol.schedule, sol.instance.initial(),
-                        explicit_default));
-    }
+    SCOPED_TRACE(family.name);
+    sim::SimOptions implicit;
+    implicit.faults = &plan;
+    expect_explicit_default_identical(sol, tree, implicit);
   }
 }
 

@@ -1,8 +1,9 @@
 // mg::obs unit tests: metric primitives (counters, timers, histograms),
 // the registry's runtime null mode, the span tracer and its Chrome-trace
 // exporter, and — per the no-external-dependency rule — full round-trips
-// of every JSON emitter through the shared test parser (json_parser.h), so
-// the emitted grammar is checked field-by-field rather than by eyeball.
+// of every JSON emitter through the repo's JSON reader
+// (support/json_read.h), so the emitted grammar is checked field-by-field
+// rather than by eyeball.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +17,6 @@
 
 #include "gossip/solve.h"
 #include "graph/generators.h"
-#include "json_parser.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
@@ -24,12 +24,13 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "sim/network_sim.h"
+#include "support/json_read.h"
 
 namespace mg::obs {
 namespace {
 
-using testjson::JsonValue;
-using testjson::Parser;
+using support::JsonValue;
+using support::parse_json;
 
 TEST(Metrics, CounterAndTimerAccumulate) {
   Counter c;
@@ -237,7 +238,7 @@ TEST(Json, WriterRoundTripsNestedDocument) {
   w.end_object();
   ASSERT_TRUE(w.done());
 
-  const JsonValue doc = Parser(out.str()).parse();
+  const JsonValue doc = parse_json(out.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
   EXPECT_EQ(doc.at("text").string, "with \"quotes\" and\nnewline");
   EXPECT_EQ(doc.at("negative").number, -7.0);
@@ -262,7 +263,7 @@ TEST(Json, NonFiniteDoublesBecomeNull) {
   w.end_object();
   ASSERT_TRUE(w.done());
 
-  const JsonValue doc = Parser(out.str()).parse();
+  const JsonValue doc = parse_json(out.str());
   EXPECT_EQ(doc.at("nan").kind, JsonValue::Kind::kNull);
   EXPECT_EQ(doc.at("pos_inf").kind, JsonValue::Kind::kNull);
   EXPECT_EQ(doc.at("neg_inf").kind, JsonValue::Kind::kNull);
@@ -278,7 +279,7 @@ TEST(Json, RegistryEmitterRoundTrip) {
   r.histogram("lat_ns").record(1000);
   r.histogram("lat_ns").record(3000);
 
-  const JsonValue doc = Parser(r.to_json()).parse();
+  const JsonValue doc = parse_json(r.to_json());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
   const JsonValue& counters = doc.at("counters");
   ASSERT_EQ(counters.object.size(), 2u);
@@ -417,7 +418,7 @@ TEST(TraceExport, EmitsValidChromeTraceJson) {
   std::ostringstream out;
   write_chrome_trace(out, tracer);
 
-  const JsonValue doc = Parser(out.str()).parse();
+  const JsonValue doc = parse_json(out.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
   const JsonValue& events = doc.at("traceEvents");
   ASSERT_EQ(events.kind, JsonValue::Kind::kArray);
@@ -446,7 +447,7 @@ TEST(TraceExport, EmptyTracerStillProducesValidDocument) {
   SpanTracer tracer(4);
   std::ostringstream out;
   write_chrome_trace(out, tracer);
-  const JsonValue doc = Parser(out.str()).parse();
+  const JsonValue doc = parse_json(out.str());
   EXPECT_TRUE(doc.at("traceEvents").array.empty());
 }
 
@@ -478,7 +479,7 @@ TEST(Trace, SinksObserveSimulatedRun) {
   std::string line;
   std::size_t parsed = 0;
   while (std::getline(in, line)) {
-    const JsonValue event = Parser(line).parse();
+    const JsonValue event = parse_json(line);
     ASSERT_EQ(event.kind, JsonValue::Kind::kObject);
     const std::string& kind = event.at("kind").string;
     EXPECT_TRUE(kind == "send" || kind == "receive");

@@ -2,6 +2,7 @@
 // arbitrary hold states, including states produced by faulty simulations.
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
@@ -68,9 +69,10 @@ TEST(Recovery, RepairsAFaultySimulation) {
   // from the degraded hold state on the ORIGINAL network.
   const auto g = graph::fig4_network();
   const auto sol = solve_gossip(g);
+  fault::FaultPlan plan;
+  plan.drop(5, sol.instance.tree().root()).drop(7, 4);
   sim::SimOptions faults;
-  faults.drop.emplace_back(5, sol.instance.tree().root());
-  faults.drop.emplace_back(7, graph::Vertex{4});
+  faults.faults = &plan;
   const auto run = sim::simulate(sol.instance.tree().as_graph(),
                                  sol.schedule, sol.instance.initial(),
                                  faults);

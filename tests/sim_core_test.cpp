@@ -1,20 +1,24 @@
-// Differential test for the two simulator cores: the word-parallel core
-// (flat uint64 hold matrix, CSR schedule walk, single-word ORs) must be
-// event-for-event identical to the legacy bitwise core — same completion,
-// timing, knowledge curves, fault counters, final holds, buffered trace
-// and streamed sink events — across the seeded random sweep x all four
-// gossip algorithms x fault plans (probabilistic drops, crash-stop,
-// per-edge delay).  The bitwise core is the oracle: it is the pre-existing
-// implementation the library's results were pinned against.
+// Differential test for the simulator: the word-parallel core (flat uint64
+// hold matrix, CSR schedule walk, single-word ORs) must be event-for-event
+// identical to the per-bit reference executor in reference_sim.h — same
+// completion, timing, knowledge curves, fault and collision counters,
+// final holds and streamed sink events — across the seeded random sweep x
+// all four gossip algorithms x fault plans (probabilistic and deterministic
+// drops, crash-stop, per-edge delay), under the multicast, radio and beep
+// models, with and without a sink.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
+#include "model/comm_model.h"
+#include "model/legalize.h"
 #include "obs/trace.h"
+#include "reference_sim.h"
 #include "sim/network_sim.h"
 #include "support/rng.h"
 
@@ -41,8 +45,9 @@ graph::Graph make_graph(std::uint64_t seed) {
   }
 }
 
-/// A fault plan keyed off the seed: fault-free, drops only, or the full
-/// mix of drops + a crash + per-edge delays.
+/// A fault plan keyed off the seed: fault-free, probabilistic plus
+/// deterministic drops, or the full mix of drops + a crash + per-edge
+/// delays.
 fault::FaultPlan make_plan(std::uint64_t seed, const graph::Graph& g) {
   fault::FaultPlan plan;
   const graph::Vertex n = g.vertex_count();
@@ -51,6 +56,7 @@ fault::FaultPlan make_plan(std::uint64_t seed, const graph::Graph& g) {
       break;  // fault-free
     case 1:
       plan.drop_rate(0.15).seed(seed * 77 + 1);
+      plan.drop(0, 0).drop(2, n - 1);
       break;
     default:
       plan.drop_rate(0.05).seed(seed * 77 + 1);
@@ -62,29 +68,58 @@ fault::FaultPlan make_plan(std::uint64_t seed, const graph::Graph& g) {
   return plan;
 }
 
-/// Full structural equality of two SimResults, trace included.
-void expect_equal(const sim::SimResult& bit, const sim::SimResult& word) {
-  EXPECT_EQ(bit.completed, word.completed);
-  EXPECT_EQ(bit.total_time, word.total_time);
-  EXPECT_EQ(bit.completion_time, word.completion_time);
-  EXPECT_EQ(bit.knowledge, word.knowledge);
-  EXPECT_EQ(bit.missing, word.missing);
-  EXPECT_EQ(bit.skipped_sends, word.skipped_sends);
-  EXPECT_EQ(bit.injected_drops, word.injected_drops);
-  EXPECT_EQ(bit.crashed_sends, word.crashed_sends);
-  EXPECT_EQ(bit.lost_receives, word.lost_receives);
-  EXPECT_EQ(bit.final_holds, word.final_holds);
-  ASSERT_EQ(bit.trace.size(), word.trace.size());
-  for (std::size_t i = 0; i < bit.trace.size(); ++i) {
-    EXPECT_EQ(bit.trace[i].kind, word.trace[i].kind) << "event " << i;
-    EXPECT_EQ(bit.trace[i].time, word.trace[i].time) << "event " << i;
-    EXPECT_EQ(bit.trace[i].node, word.trace[i].node) << "event " << i;
-    EXPECT_EQ(bit.trace[i].message, word.trace[i].message) << "event " << i;
-    EXPECT_EQ(bit.trace[i].peer, word.trace[i].peer) << "event " << i;
-  }
+/// Full structural equality of two SimResults.
+void expect_equal(const sim::SimResult& want, const sim::SimResult& got) {
+  EXPECT_EQ(want.completed, got.completed);
+  EXPECT_EQ(want.total_time, got.total_time);
+  EXPECT_EQ(want.completion_time, got.completion_time);
+  EXPECT_EQ(want.knowledge, got.knowledge);
+  EXPECT_EQ(want.missing, got.missing);
+  EXPECT_EQ(want.skipped_sends, got.skipped_sends);
+  EXPECT_EQ(want.injected_drops, got.injected_drops);
+  EXPECT_EQ(want.crashed_sends, got.crashed_sends);
+  EXPECT_EQ(want.lost_receives, got.lost_receives);
+  EXPECT_EQ(want.collided_receives, got.collided_receives);
+  EXPECT_EQ(want.final_holds, got.final_holds);
 }
 
-TEST(SimCore, WordMatchesBitwiseAcrossSweep) {
+/// Runs `schedule` from `holds` through the reference and through `run`
+/// (the simulator under test, called with the options to use), both
+/// streaming JSONL, then once more through `run` without a sink (the
+/// fault-free case takes the fast path).  Every result field and the JSONL
+/// byte stream must match.
+template <typename Run>
+void expect_matches_reference(const graph::Graph& g,
+                              const model::Schedule& schedule,
+                              const std::vector<DynamicBitset>& holds,
+                              sim::SimOptions options, const Run& run) {
+  std::ostringstream want_jsonl;
+  obs::JsonLinesTraceSink want_sink(want_jsonl);
+  options.sink = &want_sink;
+  const sim::SimResult want =
+      test::reference_simulate_from_holds(g, schedule, holds, options);
+
+  std::ostringstream got_jsonl;
+  obs::JsonLinesTraceSink got_sink(got_jsonl);
+  options.sink = &got_sink;
+  expect_equal(want, run(options));
+  EXPECT_EQ(want_jsonl.str(), got_jsonl.str());
+
+  options.sink = nullptr;
+  expect_equal(want, run(options));
+}
+
+/// The time-0 hold sets `sim::simulate` starts from: v holds message
+/// initial[v] of n.
+std::vector<DynamicBitset> identity_holds(
+    const std::vector<model::Message>& initial) {
+  std::vector<DynamicBitset> holds(initial.size(),
+                                   DynamicBitset(initial.size()));
+  for (std::size_t v = 0; v < initial.size(); ++v) holds[v].set(initial[v]);
+  return holds;
+}
+
+TEST(SimReference, MatchesReferenceAcrossSweep) {
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     const graph::Graph g = make_graph(seed);
     const fault::FaultPlan plan = make_plan(seed, g);
@@ -94,38 +129,50 @@ TEST(SimCore, WordMatchesBitwiseAcrossSweep) {
                    gossip::algorithm_name(algorithm));
       const gossip::Solution sol = gossip::solve_gossip(g, algorithm);
       const graph::Graph tree = sol.instance.tree().as_graph();
-
-      std::ostringstream bit_jsonl;
-      std::ostringstream word_jsonl;
-      obs::JsonLinesTraceSink bit_sink(bit_jsonl);
-      obs::JsonLinesTraceSink word_sink(word_jsonl);
-
-      sim::SimOptions bit_options;
-      bit_options.core = sim::SimCore::kBitwise;
-      bit_options.record_trace = true;
-      bit_options.faults = plan.empty() ? nullptr : &plan;
-      bit_options.sink = &bit_sink;
-      const sim::SimResult bit =
-          sim::simulate(tree, sol.schedule, sol.instance.initial(),
-                        bit_options);
-
-      sim::SimOptions word_options = bit_options;
-      word_options.core = sim::SimCore::kWordParallel;
-      word_options.sink = &word_sink;
-      const sim::SimResult word =
-          sim::simulate(tree, sol.schedule, sol.instance.initial(),
-                        word_options);
-
-      expect_equal(bit, word);
-      // Streamed sinks see byte-identical JSONL, fault events included.
-      EXPECT_EQ(bit_jsonl.str(), word_jsonl.str());
+      const std::vector<model::Message> initial = sol.instance.initial();
+      sim::SimOptions options;
+      options.faults = plan.empty() ? nullptr : &plan;
+      expect_matches_reference(
+          tree, sol.schedule, identity_holds(initial), options,
+          [&](const sim::SimOptions& o) {
+            return sim::simulate(tree, sol.schedule, initial, o);
+          });
     }
   }
 }
 
-TEST(SimCore, FromHoldsMatchesBitwise) {
-  // Degraded-start runs (the recovery path): both cores resume from the
-  // same partial hold sets and must land in the same state.
+TEST(SimReference, CollisionModelsMatchReference) {
+  // ConcurrentUpDown legalized for the collision-loss models: the channel
+  // pre-pass must skip crashed, dropped and empty-handed senders exactly as
+  // the reference does.
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const graph::Graph g = make_graph(seed);
+    const fault::FaultPlan plan = make_plan(seed, g);
+    const gossip::Solution sol =
+        gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
+    const graph::Graph tree = sol.instance.tree().as_graph();
+    const std::vector<model::Message> initial = sol.instance.initial();
+    for (const model::CommModel* m :
+         {&model::radio_model(), &model::beep_model()}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n=" +
+                   std::to_string(g.vertex_count()) + " model=" + m->name());
+      const model::AdaptResult adapted =
+          model::adapt_schedule(tree, sol.schedule, *m);
+      sim::SimOptions options;
+      options.faults = plan.empty() ? nullptr : &plan;
+      options.comm = m;
+      expect_matches_reference(
+          tree, adapted.schedule, identity_holds(initial), options,
+          [&](const sim::SimOptions& o) {
+            return sim::simulate(tree, adapted.schedule, initial, o);
+          });
+    }
+  }
+}
+
+TEST(SimReference, FromHoldsMatchesReference) {
+  // Degraded-start runs (the recovery path): the simulator resumes from
+  // partial hold sets and must land in the reference's state.
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const graph::Graph g = make_graph(seed);
     const graph::Vertex n = g.vertex_count();
@@ -141,65 +188,28 @@ TEST(SimCore, FromHoldsMatchesBitwise) {
     }
     const fault::FaultPlan plan = make_plan(seed + 100, g);
 
-    sim::SimOptions bit_options;
-    bit_options.core = sim::SimCore::kBitwise;
-    bit_options.faults = plan.empty() ? nullptr : &plan;
-    const sim::SimResult bit =
-        sim::simulate_from_holds(tree, sol.schedule, holds, bit_options);
-
-    sim::SimOptions word_options = bit_options;
-    word_options.core = sim::SimCore::kWordParallel;
-    const sim::SimResult word =
-        sim::simulate_from_holds(tree, sol.schedule, holds, word_options);
-    expect_equal(bit, word);
+    sim::SimOptions options;
+    options.faults = plan.empty() ? nullptr : &plan;
+    expect_matches_reference(
+        tree, sol.schedule, holds, options, [&](const sim::SimOptions& o) {
+          return sim::simulate_from_holds(tree, sol.schedule, holds, o);
+        });
   }
 }
 
-TEST(SimCore, KeepFinalHoldsOff) {
-  // Both cores honor keep_final_holds = false by leaving final_holds
-  // empty while everything else is unchanged.
+TEST(SimReference, KeepFinalHoldsOff) {
+  // keep_final_holds = false leaves final_holds empty while the run still
+  // completes.
   const graph::Graph g = make_graph(5);
   const gossip::Solution sol =
       gossip::solve_gossip(g, gossip::Algorithm::kSimple);
   const graph::Graph tree = sol.instance.tree().as_graph();
-  for (const sim::SimCore core :
-       {sim::SimCore::kBitwise, sim::SimCore::kWordParallel}) {
-    sim::SimOptions options;
-    options.core = core;
-    options.keep_final_holds = false;
-    const sim::SimResult result =
-        sim::simulate(tree, sol.schedule, sol.instance.initial(), options);
-    EXPECT_TRUE(result.completed);
-    EXPECT_TRUE(result.final_holds.empty());
-  }
-}
-
-TEST(SimCore, LegacyDropListMatches) {
-  // The legacy SimOptions::drop list (round, sender) must suppress the
-  // same transmissions on both cores.
-  const graph::Graph g = make_graph(7);
-  const gossip::Solution sol =
-      gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
-  const graph::Graph tree = sol.instance.tree().as_graph();
-
-  // Drop the first and last rounds' first transmissions — pairs that are
-  // guaranteed to match real sends.
-  sim::SimOptions bit_options;
-  bit_options.core = sim::SimCore::kBitwise;
-  const std::size_t last = sol.schedule.round_count() - 1;
-  ASSERT_FALSE(sol.schedule.round(0).empty());
-  ASSERT_FALSE(sol.schedule.round(last).empty());
-  bit_options.drop = {{0, sol.schedule.round(0).front().sender},
-                      {last, sol.schedule.round(last).front().sender}};
-  const sim::SimResult bit =
-      sim::simulate(tree, sol.schedule, sol.instance.initial(), bit_options);
-
-  sim::SimOptions word_options = bit_options;
-  word_options.core = sim::SimCore::kWordParallel;
-  const sim::SimResult word =
-      sim::simulate(tree, sol.schedule, sol.instance.initial(), word_options);
-  expect_equal(bit, word);
-  EXPECT_GT(bit.injected_drops, 0u);
+  sim::SimOptions options;
+  options.keep_final_holds = false;
+  const sim::SimResult result =
+      sim::simulate(tree, sol.schedule, sol.instance.initial(), options);
+  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(result.final_holds.empty());
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // fault injection.
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "gossip/concurrent_updown.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
+#include "obs/trace.h"
 #include "sim/network_sim.h"
 
 namespace mg::sim {
@@ -46,26 +48,25 @@ TEST(Sim, KnowledgeCurveIsMonotoneAndSaturates) {
 
 TEST(Sim, TraceRecordsSendsAndReceives) {
   const auto sol = solved_fig4();
+  obs::CountingTraceSink events;
   SimOptions options;
-  options.record_trace = true;
+  options.sink = &events;
   const auto result = simulate(sol.instance.tree().as_graph(), sol.schedule,
                                sol.instance.initial(), options);
-  EXPECT_EQ(result.trace.empty(), false);
-  std::size_t sends = 0;
-  std::size_t receives = 0;
-  for (const auto& e : result.trace) {
-    (e.kind == SimEvent::Kind::kSend ? sends : receives) += 1;
-  }
-  EXPECT_EQ(sends, sol.schedule.transmission_count());
-  EXPECT_EQ(receives, sol.schedule.delivery_count());
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(events.sends(), sol.schedule.transmission_count());
+  EXPECT_EQ(events.receives(), sol.schedule.delivery_count());
+  EXPECT_EQ(events.total(), events.sends() + events.receives());
 }
 
 TEST(Sim, DroppedTransmissionBreaksCompletion) {
   const auto sol = solved_fig4();
   // Drop the root's very first downward relay: the network can no longer
   // complete (no retransmission in a fixed schedule).
+  fault::FaultPlan plan;
+  plan.drop(1, sol.instance.tree().root());
   SimOptions options;
-  options.drop.emplace_back(1, sol.instance.tree().root());
+  options.faults = &plan;
   const auto result = simulate(sol.instance.tree().as_graph(), sol.schedule,
                                sol.instance.initial(), options);
   EXPECT_FALSE(result.completed);
@@ -86,8 +87,10 @@ TEST(Sim, DropOfLeafUpSendStarvesEveryoneElse) {
     if (sol.instance.tree().is_leaf(v) && labels.lip_count(v) == 1) leaf = v;
   }
   ASSERT_NE(leaf, graph::kNoVertex);
+  fault::FaultPlan plan;
+  plan.drop(0, leaf);
   SimOptions options;
-  options.drop.emplace_back(0, leaf);
+  options.faults = &plan;
   const auto result = simulate(sol.instance.tree().as_graph(), sol.schedule,
                                sol.instance.initial(), options);
   EXPECT_FALSE(result.completed);

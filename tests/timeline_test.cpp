@@ -3,24 +3,25 @@
 // send rounds — Theorem 1 — with every send classified into the §3.2
 // taxonomy and every delivery given an up/down direction), attribute fault
 // losses to their rounds, and export a timeline JSON that round-trips
-// through the shared test parser.
+// through the repo's JSON reader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 
+#include "fault/fault.h"
 #include "gossip/solve.h"
 #include "gossip/timeline.h"
 #include "graph/generators.h"
 #include "graph/named.h"
-#include "json_parser.h"
 #include "sim/network_sim.h"
+#include "support/json_read.h"
 
 namespace mg::gossip {
 namespace {
 
-using testjson::JsonValue;
-using testjson::Parser;
+using support::JsonValue;
+using support::parse_json;
 
 /// Solve + simulate with the timeline attached; returns the sim result.
 sim::SimResult run_with_timeline(const Solution& sol, RoundTimeline& timeline,
@@ -95,8 +96,10 @@ TEST(Timeline, InjectedDropIsAttributedToItsRound) {
   const Vertex victim = round1.front().sender;
 
   RoundTimeline timeline(sol.instance);
+  fault::FaultPlan plan;
+  plan.drop(1, victim);
   sim::SimOptions options;
-  options.drop.emplace_back(1, victim);
+  options.faults = &plan;
   const sim::SimResult run = run_with_timeline(sol, timeline, options);
   EXPECT_GE(run.injected_drops, 1u);
 
@@ -123,7 +126,7 @@ TEST(Timeline, JsonExportRoundTrips) {
 
   std::ostringstream out;
   timeline.write_json(out);
-  const JsonValue doc = Parser(out.str()).parse();
+  const JsonValue doc = parse_json(out.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
   EXPECT_EQ(doc.at("schema_version").as_u64(), 1u);
   EXPECT_EQ(doc.at("n").as_u64(), sol.instance.vertex_count());
