@@ -123,8 +123,8 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
           single_message(gossip::multicast_broadcast(g0, t0.root()));
       const double base_solve_ms = watch.millis();
 
-      std::vector<DynamicBitset> holds0(n, DynamicBitset(1));
-      holds0[t0.root()].set(0);
+      BitMatrix holds0(n, 1);
+      holds0.set(t0.root(), 0);
 
       Rng rng(seed);
       double patch_total = 0.0;
@@ -154,10 +154,8 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
         dropped += patched.dropped_transmissions;
         repair_rounds += patched.repair_rounds;
 
-        sim::SimOptions options;
-        options.keep_final_holds = false;
         const sim::SimResult check =
-            sim::simulate_from_holds(g2, patched.schedule, holds0, options);
+            sim::simulate_from_holds(g2, patched.schedule, holds0);
         if (patched.complete && check.completed &&
             fresh.total_time() == t2.height()) {
           ++completed;

@@ -101,19 +101,6 @@ std::uint64_t bound_for(gossip::Algorithm algorithm, std::size_t n,
   return 0;
 }
 
-/// Full-field equality of two runs — the refactor's safety gate.
-bool sim_equal(const sim::SimResult& a, const sim::SimResult& b) {
-  return a.completed == b.completed && a.total_time == b.total_time &&
-         a.completion_time == b.completion_time &&
-         a.knowledge == b.knowledge && a.missing == b.missing &&
-         a.skipped_sends == b.skipped_sends &&
-         a.injected_drops == b.injected_drops &&
-         a.crashed_sends == b.crashed_sends &&
-         a.lost_receives == b.lost_receives &&
-         a.collided_receives == b.collided_receives &&
-         a.final_holds == b.final_holds;
-}
-
 struct Row {
   std::string name;
   std::string algorithm;
@@ -250,10 +237,9 @@ int run_matrix(const std::string& out_path, bool quick) {
                      row.structural_rounds <= row.bound;
             sim::SimOptions implicit = s_options;
             implicit.comm = nullptr;
-            row.ok = row.ok &&
-                     sim_equal(run, sim::simulate(tree, adapted.schedule,
-                                                  sol.instance.initial(),
-                                                  implicit));
+            row.ok = row.ok && run == sim::simulate(tree, adapted.schedule,
+                                                    sol.instance.initial(),
+                                                    implicit);
           }
           if (!faulted) {
             // Gate (b): ordering invariants that hold by construction.

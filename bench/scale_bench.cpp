@@ -150,13 +150,11 @@ FamilyRow run_family_row(const std::string& family,
       single_message(gossip::multicast_broadcast(g, t.root()));
   row.solve_ms = watch.millis();
 
-  std::vector<DynamicBitset> holds(g.vertex_count(), DynamicBitset(1));
-  holds[t.root()].set(0);
-  sim::SimOptions options;
-  options.keep_final_holds = false;  // n bitsets dwarf the run at 1e6
+  BitMatrix holds(g.vertex_count(), 1);
+  holds.set(t.root(), 0);
   watch.restart();
   const sim::SimResult result =
-      sim::simulate_from_holds(g, schedule, holds, options);
+      sim::simulate_from_holds(g, schedule, std::move(holds));
   row.sim_ms = watch.millis();
 
   // Broadcast from the root completes in exactly ecc(root) = height

@@ -40,9 +40,9 @@ ProcessorActor::ProcessorActor(Vertex self, Vertex n, Message initial,
       n_(n),
       neighbors_(std::move(neighbors)),
       rule_(std::move(rule)),
-      holds_(n),
+      holds_(1, n),
       first_trace_(n, ~std::uint64_t{0}) {
-  holds_.set(initial);
+  holds_.set(0, initial);
   first_trace_[initial] = 0;
 }
 
@@ -61,7 +61,7 @@ Outbox ProcessorActor::step_main(std::size_t t,
   absorb(t, inbox);
   Outbox out;
   if (auto tx = rule_->decide(t)) {
-    if (holds_.test(tx->message)) {
+    if (holds_.test(0, tx->message)) {
       out.data_cause = first_trace_[tx->message];
       out.data = std::move(tx);
     } else {
@@ -80,14 +80,14 @@ void ProcessorActor::learn(const std::vector<Envelope>& inbox) {
   // lowest trace id in this inbox, and the digest's parent becomes the
   // highest of those first arrivals.
   for (const Envelope& e : inbox) {
-    if (e.kind == Envelope::Kind::kData && !holds_.test(e.message)) {
+    if (e.kind == Envelope::Kind::kData && !holds_.test(0, e.message)) {
       first_trace_[e.message] = std::min(first_trace_[e.message], e.trace);
     }
   }
   bool changed = false;
   for (const Envelope& e : inbox) {
-    if (e.kind != Envelope::Kind::kData || holds_.test(e.message)) continue;
-    holds_.set(e.message);
+    if (e.kind != Envelope::Kind::kData || holds_.test(0, e.message)) continue;
+    holds_.set(0, e.message);
     const std::uint64_t first = first_trace_[e.message];
     last_trace_ = changed ? std::max(last_trace_, first) : first;
     changed = true;
@@ -95,7 +95,7 @@ void ProcessorActor::learn(const std::vector<Envelope>& inbox) {
 }
 
 Outbox ProcessorActor::step_digest(std::span<std::uint64_t> snapshot) {
-  const std::vector<std::uint64_t>& words = holds_.words();
+  const auto words = holds_.row(0);
   MG_EXPECTS(snapshot.size() == words.size());
   std::copy(words.begin(), words.end(), snapshot.begin());
   Outbox out;
@@ -120,7 +120,7 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
   // whose digest is absent is presumed crashed.)
   // Offers count word by word; a digest shorter than the hold set offers
   // nothing past its end, and bits past message n_ - 1 never count.
-  const std::vector<std::uint64_t>& mine = holds_.words();
+  const auto mine = holds_.row(0);
   const std::uint64_t last_word_mask =
       n_ % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n_ % 64)) - 1;
   Vertex best = graph::kNoVertex;
@@ -173,7 +173,7 @@ Outbox ProcessorActor::step_data(const std::vector<Envelope>& inbox) {
   votes_.clear();
   for (const Envelope& e : inbox) {
     if (e.kind != Envelope::Kind::kGrant) continue;
-    MG_ASSERT_MSG(holds_.test(e.message),
+    MG_ASSERT_MSG(holds_.test(0, e.message),
                   "grant requested a message the digest never offered");
     votes_.emplace_back(e.message, e.sender);
   }

@@ -23,9 +23,9 @@
 // digest / grant / data cycle per repair round — every decision is local:
 //
 //  1. digest — every live actor multicasts its hold bitmap to its network
-//     neighbors: it snapshots its hold words once into its own row of the
-//     runtime's arena and sends one digest envelope, viewing that row, to
-//     its neighbor row.  A neighbor whose digest is missing is presumed
+//     neighbors: it snapshots its hold row once into its own row of the
+//     runtime's digest matrix and sends one digest envelope, viewing that
+//     row, to its neighbor row.  A neighbor whose digest is missing is presumed
 //     crashed (heartbeat failure detection).
 //  2. grant — an actor still missing messages picks the neighbor whose
 //     digest offers the most of them (ties: lowest id), and reserves it
@@ -142,9 +142,10 @@ class ProcessorActor {
                  std::unique_ptr<LocalRule> rule);
 
   [[nodiscard]] graph::Vertex id() const { return self_; }
-  [[nodiscard]] const DynamicBitset& holds() const { return holds_; }
+  /// The hold set, as a one-row matrix of n bits.
+  [[nodiscard]] const BitMatrix& holds() const { return holds_; }
   [[nodiscard]] std::size_t missing() const {
-    return static_cast<std::size_t>(n_) - holds_.count();
+    return static_cast<std::size_t>(n_) - holds_.count(0);
   }
   [[nodiscard]] bool complete() const { return missing() == 0; }
 
@@ -167,9 +168,9 @@ class ProcessorActor {
 
   // --- recovery subrounds (each reads the previous subround's inbox) ------
 
-  /// Subround 1: copy the hold words into `snapshot` (this actor's row of
-  /// the runtime's arena, one word per 64 messages) and multicast one
-  /// envelope viewing it to the neighbor row.
+  /// Subround 1: copy the hold row into `snapshot` (this actor's row of the
+  /// runtime's digest matrix) and multicast one envelope viewing it to the
+  /// neighbor row.
   [[nodiscard]] Outbox step_digest(std::span<std::uint64_t> snapshot);
 
   /// Subround 2: read neighbor digests, reserve the best offering neighbor.
@@ -187,7 +188,7 @@ class ProcessorActor {
   graph::Vertex n_;
   std::vector<graph::Vertex> neighbors_;
   std::unique_ptr<LocalRule> rule_;
-  DynamicBitset holds_;
+  BitMatrix holds_;
   /// first_trace_[m]: trace id of the first data arrival carrying m (0 =
   /// held initially, all ones while m is not held).
   std::vector<std::uint64_t> first_trace_;

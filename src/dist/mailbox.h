@@ -51,8 +51,8 @@ struct Envelope {
   /// delivery order — ids are themselves deterministic under a fixed seed,
   /// but actors must not decide from them.
   std::uint64_t trace = 0;
-  /// kDigest: the sender's hold words as of its digest subround, in the
-  /// runtime's snapshot arena (see ActorRuntime::run).  Valid until the
+  /// kDigest: the sender's hold row as of its digest subround, a row of
+  /// the runtime's digest matrix (see ActorRuntime::run).  Valid until the
   /// sender's next digest subround.
   std::span<const std::uint64_t> digest;
 };

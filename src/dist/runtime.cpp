@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -240,10 +239,16 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   }
   report.emergent = emergent.build();
 
-  report.main_holds.reserve(n);
-  for (const ProcessorActor& actor : im.actors) {
-    report.main_holds.push_back(actor.holds());
-  }
+  // Every actor's own hold row, gathered into one matrix.
+  const auto gather_holds = [&] {
+    BitMatrix holds(n, n);
+    for (Vertex v = 0; v < n; ++v) {
+      const auto row = im.actors[v].holds().row(0);
+      std::copy(row.begin(), row.end(), holds.row(v).begin());
+    }
+    return holds;
+  };
+  report.main_holds = gather_holds();
 
   // ---- decentralized recovery -------------------------------------------
   auto all_live_complete = [&](std::size_t abs_t) {
@@ -284,15 +289,14 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     const std::size_t budget = im.options.extra_round_budget > 0
                                    ? im.options.extra_round_budget
                                    : hard_cap;
-    // Digest snapshot arena: row v holds actor v's hold words as of its
-    // latest digest subround, and every digest envelope v sends is a view
-    // of that row.  Control envelopes travel with zero delay
-    // (MailboxBus::post asserts it), so a digest is read only in the grant
-    // subround of its own cycle, before its sender's next digest subround
-    // rewrites the row.  The row is a copy: an actor that learns delayed
-    // data in its own grant step never changes what its neighbors read.
-    const std::size_t row_words = (static_cast<std::size_t>(n) + 63) / 64;
-    std::vector<std::uint64_t> snapshots(n * row_words);
+    // Digest snapshots: row v holds actor v's hold set as of its latest
+    // digest subround, and every digest envelope v sends is a view of that
+    // row.  Control envelopes travel with zero delay (MailboxBus::post
+    // asserts it), so a digest is read only in the grant subround of its
+    // own cycle, before its sender's next digest subround rewrites the
+    // row.  The row is a copy: an actor that learns delayed data in its own
+    // grant step never changes what its neighbors read.
+    BitMatrix snapshots(n, n);
     for (std::size_t q = 0; q < budget; ++q) {
       const std::size_t abs_t = horizon + q;
       end_abs = abs_t;
@@ -303,8 +307,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
         const auto vertex = static_cast<Vertex>(v);
         im.actors[v].learn(bus.inbox(vertex));
         out[v] = live_at(vertex, abs_t)
-                     ? im.actors[v].step_digest(std::span(snapshots).subspan(
-                           v * row_words, row_words))
+                     ? im.actors[v].step_digest(snapshots.row(v))
                      : Outbox{};
       });
       if (all_live_complete(abs_t)) break;
@@ -349,59 +352,11 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     report.repair = repair.build();
   }
 
-  // ---- final accounting --------------------------------------------------
-  std::vector<char> alive(n, 1);
-  if (plan != nullptr) alive = plan->alive_at(end_abs, n);
-  report.missing.resize(n);
-  std::size_t live = 0;
-  std::size_t held = 0;
-  report.complete = true;
-  for (Vertex v = 0; v < n; ++v) {
-    report.missing[v] = im.actors[v].missing();
-    report.final_holds.push_back(im.actors[v].holds());
-    if (!alive[v]) {
-      report.crashed.push_back(v);
-      continue;
-    }
-    ++live;
-    held += static_cast<std::size_t>(n) - report.missing[v];
-    if (report.missing[v] != 0) report.complete = false;
-  }
-  report.coverage =
-      live == 0 ? 1.0
-                : static_cast<double>(held) / (static_cast<double>(live) *
-                                               static_cast<double>(n));
-
-  // `recovered` = every live actor holds its surviving component's
-  // achievable closure (all a repair can deliver once crashes ate
-  // messages or split the network) — computed here for reporting only.
-  report.recovered = true;
-  {
-    std::vector<char> seen(n, 0);
-    for (Vertex s = 0; s < n && report.recovered; ++s) {
-      if (!alive[s] || seen[s]) continue;
-      std::vector<Vertex> component{s};
-      seen[s] = 1;
-      DynamicBitset closure(n);
-      for (std::size_t head = 0; head < component.size(); ++head) {
-        const Vertex v = component[head];
-        closure |= im.actors[v].holds();
-        for (const Vertex u : im.network->neighbors(v)) {
-          if (alive[u] && !seen[u]) {
-            seen[u] = 1;
-            component.push_back(u);
-          }
-        }
-      }
-      const std::size_t closure_size = closure.count();
-      for (const Vertex v : component) {
-        if (im.actors[v].holds().count() != closure_size) {
-          report.recovered = false;
-          break;
-        }
-      }
-    }
-  }
+  // ---- final accounting: the verdict solve_with_recovery gives --------
+  report.final_holds = gather_holds();
+  static_cast<gossip::HoldVerdict&>(report) = gossip::hold_verdict(
+      *im.network, report.final_holds,
+      plan != nullptr ? plan->alive_at(end_abs, n) : std::vector<char>(n, 1));
 
   MG_OBS_ADD("dist.causal_links", report.causal.size());
   MG_OBS_ADD("dist.runs", 1);

@@ -39,6 +39,7 @@
 #include "dist/mailbox.h"
 #include "fault/fault.h"
 #include "gossip/instance.h"
+#include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/graph.h"
 #include "model/schedule.h"
@@ -90,8 +91,10 @@ struct CausalLink {
   std::size_t fanout = 0;
 };
 
-/// What one distributed run produced.
-struct RunReport {
+/// What one distributed run produced: the end-of-run verdict
+/// (`gossip::hold_verdict` on `final_holds`, the one `solve_with_recovery`
+/// gives) plus the run's schedules, counters and happens-before record.
+struct RunReport : gossip::HoldVerdict {
   /// Transmissions that actually hit the wire in rounds 0..horizon-1.  On
   /// a fault-free run this is the schedule that *emerged* from the actors —
   /// the differential gate compares it round-for-round with the central one.
@@ -107,15 +110,8 @@ struct RunReport {
   std::size_t crashed_sends = 0;
   std::size_t skipped_sends = 0;
   std::size_t lost_receives = 0;
-  bool complete = false;   ///< every live actor holds all n messages
-  bool recovered = false;  ///< every live actor reached its component closure
-  /// Fraction of (live actor, message) pairs held at the end (1.0 when
-  /// complete) — the honest partial-coverage report on crash partitions.
-  double coverage = 1.0;
-  std::vector<graph::Vertex> crashed;   ///< actors dead by end of run
-  std::vector<std::size_t> missing;     ///< per-actor missing counts
-  std::vector<DynamicBitset> main_holds;   ///< hold sets at end of main phase
-  std::vector<DynamicBitset> final_holds;  ///< hold sets at end of run
+  BitMatrix main_holds;   ///< hold sets at end of main phase, row per actor
+  BitMatrix final_holds;  ///< hold sets at end of run, row per actor
   /// Happens-before record: one link per transmission that hit the wire
   /// (data, repair data, digest, grant), in capture order.  Always
   /// recorded — `critical_path` works with MG_OBS compiled out; the same

@@ -1,6 +1,5 @@
 #include "gossip/patch.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "gossip/recovery.h"
@@ -25,9 +24,10 @@ namespace {
 /// message arriving at time t may be forwarded at time t.
 PatchResult filter_and_replay(const graph::Graph& g,
                               const model::Schedule& old_schedule,
-                              std::vector<DynamicBitset> holds) {
+                              BitMatrix holds) {
   const graph::Vertex n = g.vertex_count();
-  const std::size_t message_count = holds.empty() ? 0 : holds[0].size();
+  MG_EXPECTS(holds.rows() == n);
+  const std::size_t message_count = holds.bits();
   PatchResult result;
 
   model::ScheduleBuilder filtered;
@@ -36,12 +36,12 @@ PatchResult filter_and_replay(const graph::Graph& g,
   std::vector<std::pair<graph::Vertex, model::Message>> next_arrivals;
   for (std::size_t t = 0; t < old_schedule.round_count(); ++t) {
     for (const auto& [receiver, message] : arrivals) {
-      holds[receiver].set(message);
+      holds.set(receiver, message);
     }
     arrivals.clear();
     for (const model::Tx& tx : old_schedule.round(t)) {
       if (tx.sender >= n || tx.message >= message_count ||
-          !holds[tx.sender].test(tx.message)) {
+          !holds.test(tx.sender, tx.message)) {
         ++result.dropped_transmissions;
         continue;
       }
@@ -64,14 +64,15 @@ PatchResult filter_and_replay(const graph::Graph& g,
     next_arrivals.clear();
   }
   for (const auto& [receiver, message] : arrivals) {
-    holds[receiver].set(message);
+    holds.set(receiver, message);
   }
   result.schedule = filtered.build();
   result.base_rounds = result.schedule.total_time();
 
-  result.complete =
-      std::all_of(holds.begin(), holds.end(),
-                  [](const DynamicBitset& h) { return h.all(); });
+  result.complete = true;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    result.complete = result.complete && holds.count(v) == message_count;
+  }
   if (!result.complete) {
     // Repair: greedy completion from the exact degraded state, spliced
     // after the filtered horizon.  On a connected graph every message is
@@ -79,11 +80,8 @@ PatchResult filter_and_replay(const graph::Graph& g,
     // achievable closure is everything and the repair completes.
     const model::Schedule repair = partial_completion_schedule(g, holds);
     result.repair_rounds = repair.total_time();
-    sim::SimOptions sim_options;
-    sim_options.keep_final_holds = false;
-    const sim::SimResult check =
-        sim::simulate_from_holds(g, repair, holds, sim_options);
-    result.complete = check.completed;
+    result.complete =
+        sim::simulate_from_holds(g, repair, std::move(holds)).completed;
     result.schedule.append(repair, result.base_rounds);
   }
 
@@ -110,18 +108,17 @@ PatchResult patch_schedule(const graph::Graph& g,
   MG_OBS_SCOPE_TIMER(patch_timer, "churn.patch_ns");
   const graph::Vertex n = g.vertex_count();
   MG_EXPECTS(initial.empty() || initial.size() == n);
-  std::vector<DynamicBitset> holds(n, DynamicBitset(n));
+  BitMatrix holds(n, n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    holds[v].set(initial.empty() ? v : initial[v]);
+    holds.set(v, initial.empty() ? v : initial[v]);
   }
   return filter_and_replay(g, old_schedule, std::move(holds));
 }
 
-PatchResult patch_schedule_from_holds(
-    const graph::Graph& g, const model::Schedule& old_schedule,
-    const std::vector<DynamicBitset>& initial_holds) {
+PatchResult patch_schedule_from_holds(const graph::Graph& g,
+                                      const model::Schedule& old_schedule,
+                                      const BitMatrix& initial_holds) {
   MG_OBS_SCOPE_TIMER(patch_timer, "churn.patch_ns");
-  MG_EXPECTS(initial_holds.size() == g.vertex_count());
   return filter_and_replay(g, old_schedule, initial_holds);
 }
 

@@ -61,12 +61,13 @@ struct PatchResult {
     const std::vector<model::Message>& initial = {});
 
 /// Same pipeline, but seeded from an explicit per-vertex hold state —
-/// `initial_holds[v].test(m)` iff processor v holds message m at time 0.
-/// This is the entry point for non-gossip message universes (e.g. patching
-/// a broadcast schedule, where every hold bitset has a single message id);
-/// completion means every vertex holds every id in the universe.
+/// `initial_holds.test(v, m)` iff processor v holds message m at time 0,
+/// one row per vertex.  This is the entry point for non-gossip message
+/// universes (e.g. patching a broadcast schedule, where every hold row has
+/// a single message id); completion means every vertex holds every id in
+/// the universe.
 [[nodiscard]] PatchResult patch_schedule_from_holds(
     const graph::Graph& g, const model::Schedule& old_schedule,
-    const std::vector<DynamicBitset>& initial_holds);
+    const BitMatrix& initial_holds);
 
 }  // namespace mg::gossip

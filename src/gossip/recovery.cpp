@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "model/validator.h"
@@ -23,46 +24,51 @@ constexpr std::uint32_t kNoComponent = static_cast<std::uint32_t>(-1);
 /// the most any flood inside the component can deliver.
 struct SurvivorClosure {
   std::vector<std::uint32_t> component;  ///< kNoComponent for dead vertices
-  std::vector<DynamicBitset> closure;    ///< indexed by component id
+  BitMatrix closure;                     ///< row c: component c's closure
 };
 
 SurvivorClosure survivor_closure(const graph::Graph& g,
-                                 const std::vector<DynamicBitset>& holds,
+                                 const BitMatrix& holds,
                                  const std::vector<char>& alive) {
   const graph::Vertex n = g.vertex_count();
-  const std::size_t message_count = n == 0 ? 0 : holds[0].size();
   SurvivorClosure result;
   result.component.assign(n, kNoComponent);
+  std::uint32_t components = 0;
   std::vector<graph::Vertex> queue;
   for (graph::Vertex start = 0; start < n; ++start) {
     if (!alive[start] || result.component[start] != kNoComponent) continue;
-    const auto id = static_cast<std::uint32_t>(result.closure.size());
-    result.closure.emplace_back(message_count);
-    result.component[start] = id;
+    result.component[start] = components;
     queue.assign(1, start);
     while (!queue.empty()) {
       const graph::Vertex v = queue.back();
       queue.pop_back();
-      result.closure[id] |= holds[v];  // word-parallel union
       for (graph::Vertex u : g.neighbors(v)) {
         if (alive[u] && result.component[u] == kNoComponent) {
-          result.component[u] = id;
+          result.component[u] = components;
           queue.push_back(u);
         }
       }
     }
+    ++components;
+  }
+  result.closure = BitMatrix(components, holds.bits());
+  for (graph::Vertex v = 0; v < n; ++v) {
+    if (result.component[v] == kNoComponent) continue;
+    const auto from = holds.row(v);
+    const auto into = result.closure.row(result.component[v]);
+    for (std::size_t w = 0; w < into.size(); ++w) into[w] |= from[w];
   }
   return result;
 }
 
 /// Pairs still deliverable: live vertices below their component closure.
 std::size_t outstanding_pairs(const SurvivorClosure& sc,
-                              const std::vector<DynamicBitset>& holds,
+                              const BitMatrix& holds,
                               const std::vector<char>& alive) {
   std::size_t outstanding = 0;
-  for (std::size_t v = 0; v < holds.size(); ++v) {
+  for (std::size_t v = 0; v < holds.rows(); ++v) {
     if (!alive[v]) continue;
-    outstanding += sc.closure[sc.component[v]].count() - holds[v].count();
+    outstanding += sc.closure.count(sc.component[v]) - holds.count(v);
   }
   return outstanding;
 }
@@ -85,8 +91,8 @@ class WantCounts {
   }
 
   /// Counts once every message of `have & ~lack`.  True when any was.
-  bool add_missing(const std::vector<std::uint64_t>& have,
-                   const std::vector<std::uint64_t>& lack) {
+  bool add_missing(std::span<const std::uint64_t> have,
+                   std::span<const std::uint64_t> lack) {
     std::uint64_t any = 0;
     for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t carry = have[w] & ~lack[w];
@@ -135,10 +141,10 @@ class WantCounts {
 }  // namespace
 
 std::vector<std::vector<Message>> holds_to_initial_sets(
-    const std::vector<DynamicBitset>& holds) {
-  std::vector<std::vector<Message>> sets(holds.size());
-  for (std::size_t v = 0; v < holds.size(); ++v) {
-    const std::vector<std::uint64_t>& words = holds[v].words();
+    const BitMatrix& holds) {
+  std::vector<std::vector<Message>> sets(holds.rows());
+  for (std::size_t v = 0; v < holds.rows(); ++v) {
+    const auto words = holds.row(v);
     for (std::size_t w = 0; w < words.size(); ++w) {
       for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
         sets[v].push_back(static_cast<Message>(
@@ -150,19 +156,17 @@ std::vector<std::vector<Message>> holds_to_initial_sets(
 }
 
 model::Schedule partial_completion_schedule(const graph::Graph& g,
-                                            const std::vector<DynamicBitset>&
-                                                holds,
+                                            const BitMatrix& holds,
                                             const std::vector<char>& alive) {
   const graph::Vertex n = g.vertex_count();
-  MG_EXPECTS(holds.size() == n);
-  const std::size_t message_count = n == 0 ? 0 : holds[0].size();
-  for (const auto& h : holds) MG_EXPECTS(h.size() == message_count);
+  MG_EXPECTS(holds.rows() == n);
+  const std::size_t message_count = holds.bits();
   std::vector<char> live = alive;
   if (live.empty()) live.assign(n, 1);
   MG_EXPECTS(live.size() == n);
 
   const SurvivorClosure sc = survivor_closure(g, holds, live);
-  std::vector<DynamicBitset> state = holds;
+  BitMatrix state = holds;
   std::size_t outstanding = outstanding_pairs(sc, state, live);
 
   // Each sender counts, per message, the free live neighbors that lack
@@ -171,7 +175,7 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
   for (graph::Vertex v = 0; v < n; ++v) {
     max_degree = std::max(max_degree, g.neighbors(v).size());
   }
-  WantCounts wants((message_count + 63) / 64, max_degree);
+  WantCounts wants(state.row_words(), max_degree);
   std::vector<graph::Vertex> receivers;
 
   model::ScheduleBuilder schedule;
@@ -194,13 +198,13 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
       bool wanted = false;
       for (const graph::Vertex u : g.neighbors(v)) {
         if (!live[u] || receiving[u]) continue;
-        wanted |= wants.add_missing(state[v].words(), state[u].words());
+        wanted |= wants.add_missing(state.row(v), state.row(u));
       }
       if (!wanted) continue;
       const Message best_message = wants.argmax();
       receivers.clear();
       for (const graph::Vertex u : g.neighbors(v)) {
-        if (live[u] && !receiving[u] && !state[u].test(best_message)) {
+        if (live[u] && !receiving[u] && !state.test(u, best_message)) {
           receivers.push_back(u);
           receiving[u] = 1;
           arrivals.emplace_back(u, best_message);
@@ -212,7 +216,7 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
     MG_ASSERT_MSG(!arrivals.empty(),
                   "no progress toward the achievable closure");
     for (const auto& [u, m] : arrivals) {
-      state[u].set(m);
+      state.set(u, m);
       --outstanding;
     }
     ++t;
@@ -220,28 +224,52 @@ model::Schedule partial_completion_schedule(const graph::Graph& g,
   return schedule.build();
 }
 
-model::Schedule greedy_completion_schedule(
-    const graph::Graph& g, const std::vector<DynamicBitset>& holds) {
+model::Schedule greedy_completion_schedule(const graph::Graph& g,
+                                           const BitMatrix& holds) {
   const graph::Vertex n = g.vertex_count();
-  MG_EXPECTS(holds.size() == n);
-  const std::size_t message_count = n == 0 ? 0 : holds[0].size();
-  for (const auto& h : holds) MG_EXPECTS(h.size() == message_count);
+  MG_EXPECTS(holds.rows() == n);
+  const std::size_t message_count = holds.bits();
 
-  // Every message must be known somewhere, or completion is impossible.
-  DynamicBitset known(message_count);
-  for (const auto& h : holds) known |= h;
-  MG_EXPECTS_MSG(known.all(), "a message is known to no processor");
-
-  // Full completion further requires every component to reach every
-  // message; on a connected graph this follows from the check above.
+  // Full completion needs every component to reach every message; on a
+  // connected graph that is every message being known somewhere.
   const std::vector<char> live(n, 1);
   const SurvivorClosure sc = survivor_closure(g, holds, live);
-  for (const auto& closure : sc.closure) {
-    MG_EXPECTS_MSG(closure.count() == message_count,
-                   "disconnected network leaves a message unreachable");
+  for (std::size_t c = 0; c < sc.closure.rows(); ++c) {
+    MG_EXPECTS_MSG(sc.closure.count(c) == message_count,
+                   "a message is known to no processor of a component");
   }
 
   return partial_completion_schedule(g, holds, live);
+}
+
+HoldVerdict hold_verdict(const graph::Graph& g, const BitMatrix& holds,
+                         const std::vector<char>& alive) {
+  const graph::Vertex n = g.vertex_count();
+  MG_EXPECTS(holds.rows() == n && alive.size() == n);
+  const std::size_t message_count = holds.bits();
+  HoldVerdict out;
+  out.missing.assign(n, 0);
+  std::size_t live_count = 0;
+  std::size_t held_pairs = 0;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    const std::size_t held = holds.count(v);
+    out.missing[v] = message_count - held;
+    if (!alive[v]) {
+      out.crashed.push_back(v);
+      continue;
+    }
+    ++live_count;
+    held_pairs += held;
+  }
+  out.complete = live_count > 0 && held_pairs == live_count * message_count;
+  out.recovered =
+      outstanding_pairs(survivor_closure(g, holds, alive), holds, alive) == 0;
+  out.coverage = live_count == 0
+                     ? 0.0
+                     : static_cast<double>(held_pairs) /
+                           (static_cast<double>(live_count) *
+                            static_cast<double>(message_count));
+  return out;
 }
 
 RecoveryOutcome solve_with_recovery(const graph::Graph& g,
@@ -258,7 +286,7 @@ RecoveryOutcome solve_with_recovery(const graph::Graph& g,
   out.faulty_run = sim::simulate(tree, out.base.schedule,
                                  out.base.instance.initial(), base_options);
 
-  std::vector<DynamicBitset> holds = out.faulty_run.final_holds;
+  BitMatrix holds = out.faulty_run.final_holds;
   std::size_t clock = out.base.schedule.round_count();  // absolute round
 
   // Phase 2: bounded self-healing.  Each attempt replans a greedy
@@ -301,9 +329,9 @@ RecoveryOutcome solve_with_recovery(const graph::Graph& g,
       repair_options.faults = &plan;
       repair_options.fault_round_offset = clock;
     }
-    const sim::SimResult run =
-        sim::simulate_from_holds(g, repair, holds, repair_options);
-    holds = run.final_holds;
+    holds = sim::simulate_from_holds(g, repair, std::move(holds),
+                                     repair_options)
+                .final_holds;
 
     const std::size_t repair_rounds = repair.round_count();
     out.repairs.push_back(std::move(repair));
@@ -314,32 +342,9 @@ RecoveryOutcome solve_with_recovery(const graph::Graph& g,
     MG_OBS_ADD("recovery.extra_rounds", repair_rounds);
   }
 
-  // Phase 3: the report.  `recovered` compares against the achievable
-  // closure of the final survivor graph; `coverage` is the fraction of
-  // (live processor, message) pairs actually held.
-  const std::vector<char> alive = plan.alive_at(clock, n);
-  const SurvivorClosure sc = survivor_closure(g, holds, alive);
-  out.missing.assign(n, 0);
-  std::size_t live_count = 0;
-  std::size_t held_pairs = 0;
-  out.complete = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    out.missing[v] = message_count - holds[v].count();
-    if (!alive[v]) {
-      out.crashed.push_back(v);
-      continue;
-    }
-    ++live_count;
-    held_pairs += holds[v].count();
-    if (out.missing[v] != 0) out.complete = false;
-  }
-  out.recovered = outstanding_pairs(sc, holds, alive) == 0;
-  out.coverage = live_count == 0
-                     ? 0.0
-                     : static_cast<double>(held_pairs) /
-                           (static_cast<double>(live_count) *
-                            static_cast<double>(message_count));
-  if (live_count == 0) out.complete = false;
+  // Phase 3: the verdict, on the final survivor graph.
+  static_cast<HoldVerdict&>(out) =
+      hold_verdict(g, holds, plan.alive_at(clock, n));
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "support/bitset.h"
 #include "support/contracts.h"
 
 namespace mg::model {
@@ -159,15 +160,9 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
   ScheduleBuilder out;
   if (n < 2) return out.build();
 
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
+  BitMatrix hold(n, n);
   std::vector<std::size_t> known(n, 1);
-  for (Vertex v = 0; v < n; ++v) {
-    const Message m = initial.empty() ? v : initial[v];
-    MG_EXPECTS(m < n);
-    hold[static_cast<std::size_t>(v) * words + (m >> 6)] |=
-        std::uint64_t{1} << (m & 63);
-  }
+  for (Vertex v = 0; v < n; ++v) hold.set(v, initial.empty() ? v : initial[v]);
 
   struct Candidate {
     Vertex sender = 0;
@@ -176,7 +171,7 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
   };
   std::vector<Candidate> candidates;
   std::vector<Message> next_m(n, 0);  // per-sender fair rotation pointer
-  std::vector<std::uint64_t> useful(words, 0);
+  std::vector<std::uint64_t> useful(hold.row_words(), 0);
   // Closed-neighborhood occupancy for the 2-hop independence rule,
   // round-stamped so no per-round clear is needed.
   std::vector<std::size_t> occupied(n, SIZE_MAX);
@@ -187,12 +182,12 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
   for (std::size_t t = 0; complete < n; ++t) {
     candidates.clear();
     for (Vertex v = 0; v < n; ++v) {
-      const auto* hv = &hold[static_cast<std::size_t>(v) * words];
+      const auto hv = hold.row(v);
       bool any = false;
-      for (std::size_t w = 0; w < words; ++w) useful[w] = 0;
+      std::fill(useful.begin(), useful.end(), 0);
       for (const Vertex r : g.neighbors(v)) {
-        const auto* hr = &hold[static_cast<std::size_t>(r) * words];
-        for (std::size_t w = 0; w < words; ++w) {
+        const auto hr = hold.row(r);
+        for (std::size_t w = 0; w < useful.size(); ++w) {
           useful[w] |= hv[w] & ~hr[w];
           any = any || useful[w] != 0;
         }
@@ -215,8 +210,7 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
       MG_ASSERT(chosen < n);
       std::size_t score = 0;
       for (const Vertex r : g.neighbors(v)) {
-        const auto* hr = &hold[static_cast<std::size_t>(r) * words];
-        score += ((hr[chosen >> 6] >> (chosen & 63)) & 1) == 0 ? 1u : 0u;
+        score += hold.test(r, chosen) ? 0u : 1u;
       }
       candidates.push_back({v, chosen, score});
     }
@@ -246,11 +240,8 @@ Schedule radio_greedy_schedule(const graph::Graph& g,
       // Deliveries land at t + 1; applying them before round t + 1's
       // candidate scan is exactly receive-before-send.
       for (const Vertex r : neighbors) {
-        std::uint64_t& w =
-            hold[static_cast<std::size_t>(r) * words + (c.message >> 6)];
-        const std::uint64_t mask = std::uint64_t{1} << (c.message & 63);
-        if ((w & mask) == 0) {
-          w |= mask;
+        if (!hold.test(r, c.message)) {
+          hold.set(r, c.message);
           if (++known[r] == n) ++complete;
         }
       }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "support/bitset.h"
 #include "support/contracts.h"
 
 namespace mg::model {
@@ -31,21 +32,14 @@ std::string describe(const Tx& tx, std::size_t t) {
 constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
 
 /// Message-major hold state: row m has one bit per processor, set when
-/// that processor holds m, and every row lives in one allocation.  A round
-/// touches few messages, so the rows it reads stay in L1.  `lacking[v]`
-/// counts the messages processor v does not hold yet.
+/// that processor holds m.  A round touches few messages, so the rows it
+/// reads stay in L1.  `lacking[v]` counts the messages processor v does not
+/// hold yet.
 struct Holds {
   Holds(std::size_t message_count, graph::Vertex n)
-      : row_words((std::size_t{n} + 63) / 64), lacking(n, message_count) {
-    MG_EXPECTS_MSG(row_words == 0 || message_count <= bits.max_size() /
-                                                          row_words,
-                   "hold matrix exceeds the address space");
-    bits.assign(message_count * row_words, 0);
-  }
+      : bits(message_count, n), lacking(n, message_count) {}
 
-  [[nodiscard]] std::uint64_t* row(Message m) {
-    return bits.data() + std::size_t{m} * row_words;
-  }
+  [[nodiscard]] std::uint64_t* row(Message m) { return bits.row(m).data(); }
 
   /// True when bit v of `row` is set.
   [[nodiscard]] static bool test(const std::uint64_t* row, graph::Vertex v) {
@@ -62,8 +56,7 @@ struct Holds {
     return --lacking[v] == 0;
   }
 
-  std::size_t row_words;
-  std::vector<std::uint64_t> bits;
+  BitMatrix bits;
   std::vector<std::size_t> lacking;
 };
 

@@ -10,28 +10,28 @@
 
 namespace mg::sim {
 
-namespace {
-
-/// Word-at-a-time execution core.  The hold state is one contiguous n x W
-/// uint64 matrix (W = ceil(message_count / 64)): a delivery is a single OR
-/// + popcount-free knowledge update, initial knowledge arrives popcounted,
+/// Word-at-a-time execution core.  The hold state is one n x W bit matrix
+/// (W = ceil(message_count / 64)): a delivery is a single OR +
+/// popcount-free knowledge update, initial knowledge arrives popcounted,
 /// and in-flight arrivals live in a reused modular ring instead of a
 /// horizon-sized vector-of-vectors.  The allocation profile is O(1) vectors
-/// per run however large n gets.  tests/reference_sim.h keeps a per-bit
+/// per run however large n gets, and the matrix itself becomes
+/// `SimResult::final_holds`.  tests/reference_sim.h keeps a per-bit
 /// executor of the same semantics as the oracle; sim_core_test pins every
 /// result field and the sink's JSONL against it.
-SimResult run_simulation(const graph::Graph& g,
-                         const model::Schedule& schedule,
-                         std::vector<std::uint64_t> hold,
-                         std::size_t message_count,
-                         std::vector<std::size_t> known,
-                         const SimOptions& options) {
+SimResult simulate_from_holds(const graph::Graph& g,
+                              const model::Schedule& schedule, BitMatrix holds,
+                              const SimOptions& options) {
   MG_OBS_SPAN(sim_span, "sim.simulate");
   MG_OBS_SCOPE_HIST(sim_hist, "sim.run_ns");
   const Vertex n = g.vertex_count();
-  const std::size_t words = (message_count + 63) / 64;
-  MG_EXPECTS(hold.size() == static_cast<std::size_t>(n) * words);
-  MG_EXPECTS(known.size() == n);
+  MG_EXPECTS(holds.rows() == n);
+  const std::size_t message_count = holds.bits();
+  // Raw words for the delivery loops: row v starts at v * words.
+  std::uint64_t* const hold = holds.data();
+  const std::size_t words = holds.row_words();
+  std::vector<std::size_t> known(n);
+  for (Vertex v = 0; v < n; ++v) known[v] = holds.count(v);
   SimResult result;
   result.completion_time.assign(n, 0);
   result.missing.assign(n, 0);
@@ -268,17 +268,7 @@ SimResult run_simulation(const graph::Graph& g,
     result.missing[v] = message_count - known[v];
     if (result.missing[v] != 0) result.completed = false;
   }
-  if (options.keep_final_holds) {
-    result.final_holds.reserve(n);
-    for (Vertex v = 0; v < n; ++v) {
-      result.final_holds.push_back(DynamicBitset::from_words(
-          message_count,
-          {hold.begin() + static_cast<std::ptrdiff_t>(
-                              static_cast<std::size_t>(v) * words),
-           hold.begin() + static_cast<std::ptrdiff_t>(
-                              (static_cast<std::size_t>(v) + 1) * words)}));
-    }
-  }
+  result.final_holds = std::move(holds);
 
   MG_OBS_ADD("sim.runs", 1);
   MG_OBS_ADD("sim.deliveries", deliveries);
@@ -302,52 +292,14 @@ SimResult run_simulation(const graph::Graph& g,
   return result;
 }
 
-}  // namespace
-
 SimResult simulate(const graph::Graph& g, const model::Schedule& schedule,
                    const std::vector<Message>& initial,
                    const SimOptions& options) {
   const Vertex n = g.vertex_count();
-  std::vector<Message> origin(initial);
-  if (origin.empty()) {
-    origin.resize(n);
-    for (Vertex v = 0; v < n; ++v) origin[v] = v;
-  }
-  MG_EXPECTS(origin.size() == n);
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
-  std::vector<std::size_t> known(n, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    MG_EXPECTS(origin[v] < n);
-    hold[static_cast<std::size_t>(v) * words + (origin[v] >> 6)] |=
-        std::uint64_t{1} << (origin[v] & 63);
-    known[v] = 1;
-  }
-  return run_simulation(g, schedule, std::move(hold), n, std::move(known),
-                        options);
-}
-
-SimResult simulate_from_holds(const graph::Graph& g,
-                              const model::Schedule& schedule,
-                              const std::vector<DynamicBitset>& initial_holds,
-                              const SimOptions& options) {
-  const Vertex n = g.vertex_count();
-  MG_EXPECTS(initial_holds.size() == n);
-  const std::size_t message_count = n == 0 ? 0 : initial_holds[0].size();
-  for (const auto& h : initial_holds) MG_EXPECTS(h.size() == message_count);
-  // Flatten the per-node bitsets into the hold matrix + popcounts.
-  const std::size_t words = (message_count + 63) / 64;
-  std::vector<std::uint64_t> hold(static_cast<std::size_t>(n) * words, 0);
-  std::vector<std::size_t> known(n, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto& src = initial_holds[v].words();
-    std::copy(src.begin(), src.end(),
-              hold.begin() + static_cast<std::ptrdiff_t>(
-                                 static_cast<std::size_t>(v) * words));
-    known[v] = initial_holds[v].count();
-  }
-  return run_simulation(g, schedule, std::move(hold), message_count,
-                        std::move(known), options);
+  MG_EXPECTS(initial.empty() || initial.size() == n);
+  BitMatrix holds(n, n);
+  for (Vertex v = 0; v < n; ++v) holds.set(v, initial.empty() ? v : initial[v]);
+  return simulate_from_holds(g, schedule, std::move(holds), options);
 }
 
 }  // namespace mg::sim

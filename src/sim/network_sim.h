@@ -24,10 +24,6 @@ using graph::Vertex;
 using model::Message;
 
 struct SimOptions {
-  /// When false, `SimResult::final_holds` is left empty — at million-node
-  /// scale materializing n bitsets can dwarf the simulation itself, and
-  /// callers that only want completion/timing can skip it.
-  bool keep_final_holds = true;
   /// Composable fault model applied to the run; nullptr = fault-free.
   const fault::FaultPlan* faults = nullptr;
   /// Absolute round of this schedule's round 0 from the fault plan's point
@@ -84,9 +80,13 @@ struct SimResult {
   /// arrivals or a half-duplex transmitter) — always 0 unless
   /// `SimOptions::comm` is a collision-loss model.
   std::size_t collided_receives = 0;
-  /// Final per-node hold sets (bit m = node knows message m) — the input
-  /// for gossip recovery after a faulty run.
-  std::vector<DynamicBitset> final_holds;
+  /// Final per-node hold sets (row v, bit m = node v knows message m) —
+  /// the input for gossip recovery after a faulty run.  The run's own hold
+  /// matrix, moved out.
+  BitMatrix final_holds;
+
+  /// Field-for-field equality: two runs observed the same execution.
+  [[nodiscard]] bool operator==(const SimResult&) const = default;
 };
 
 /// Executes `schedule` on network `g`.  `initial[v]` is the message held by
@@ -101,13 +101,13 @@ struct SimResult {
                                  const SimOptions& options = {});
 
 /// Same execution semantics, but starting from arbitrary per-node hold
-/// *sets* (`initial_holds[v]` has one bit per message).  This is the form
-/// recovery needs: a repair schedule resumes from the degraded state a
-/// faulty run left behind.  Completion means every node holds all
-/// `initial_holds[0].size()` messages.
-[[nodiscard]] SimResult simulate_from_holds(
-    const graph::Graph& g, const model::Schedule& schedule,
-    const std::vector<DynamicBitset>& initial_holds,
-    const SimOptions& options = {});
+/// *sets* (row v of `initial_holds` has one bit per message; one row per
+/// vertex).  This is the form recovery needs: a repair schedule resumes
+/// from the degraded state a faulty run left behind.  Completion means
+/// every node holds all `initial_holds.bits()` messages.
+[[nodiscard]] SimResult simulate_from_holds(const graph::Graph& g,
+                                            const model::Schedule& schedule,
+                                            BitMatrix initial_holds,
+                                            const SimOptions& options = {});
 
 }  // namespace mg::sim

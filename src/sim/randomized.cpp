@@ -14,11 +14,11 @@ RandomizedResult randomized_gossip(const graph::Graph& g, Rng& rng,
   MG_EXPECTS(n >= 1);
   RandomizedResult result;
 
-  std::vector<DynamicBitset> hold(n, DynamicBitset(n));
+  BitMatrix hold(n, n);
   std::vector<std::vector<model::Message>> known(n);  // learning order
   std::size_t missing_total = static_cast<std::size_t>(n) * (n - 1);
   for (graph::Vertex v = 0; v < n; ++v) {
-    hold[v].set(v);
+    hold.set(v, v);
     known[v].push_back(v);
   }
   if (n == 1) {
@@ -58,10 +58,10 @@ RandomizedResult randomized_gossip(const graph::Graph& g, Rng& rng,
       const auto chosen = offers[v][rng.below(offers[v].size())];
       result.collisions += offers[v].size() - 1;
       ++result.transmissions;
-      if (hold[v].test(chosen)) {
+      if (hold.test(v, chosen)) {
         ++result.useless;
       } else {
-        hold[v].set(chosen);
+        hold.set(v, chosen);
         known[v].push_back(chosen);
         --missing_total;
       }

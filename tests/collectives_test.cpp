@@ -13,25 +13,24 @@
 namespace mg::gossip {
 namespace {
 
-/// Replays `schedule` and returns the final hold bitsets (no rule checks —
+/// Replays `schedule` and returns the final hold sets (no rule checks —
 /// pair with the validator for legality).
-std::vector<DynamicBitset> replay(const Instance& instance,
-                                  const model::Schedule& schedule,
-                                  bool root_holds_all) {
+BitMatrix replay(const Instance& instance, const model::Schedule& schedule,
+                 bool root_holds_all) {
   const graph::Vertex n = instance.vertex_count();
-  std::vector<DynamicBitset> hold(n, DynamicBitset(n));
+  BitMatrix hold(n, n);
   if (root_holds_all) {
     for (model::Message m = 0; m < n; ++m) {
-      hold[instance.tree().root()].set(m);
+      hold.set(instance.tree().root(), m);
     }
   } else {
     for (graph::Vertex v = 0; v < n; ++v) {
-      hold[v].set(instance.labels().label(v));
+      hold.set(v, instance.labels().label(v));
     }
   }
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
     for (const auto& tx : schedule.round(t)) {
-      for (graph::Vertex r : schedule.receivers(tx)) hold[r].set(tx.message);
+      for (graph::Vertex r : schedule.receivers(tx)) hold.set(r, tx.message);
     }
   }
   return hold;
@@ -66,7 +65,7 @@ TEST(Gather, RootCollectsEverythingInNMinusOne) {
     EXPECT_EQ(schedule.total_time(), instance.vertex_count() - 1u)
         << family.name;
     const auto hold = replay(instance, schedule, false);
-    EXPECT_TRUE(hold[instance.tree().root()].all()) << family.name;
+    EXPECT_EQ(hold.count(instance.tree().root()), hold.bits()) << family.name;
     EXPECT_TRUE(schedule.is_telephone()) << family.name;
   }
 }
@@ -94,7 +93,7 @@ TEST(Scatter, EveryDestinationGetsItsOwnMessage) {
     ASSERT_TRUE(report.ok) << family.name << ": " << report.error;
     const auto hold = replay(instance, schedule, true);
     for (graph::Vertex v = 0; v < instance.vertex_count(); ++v) {
-      EXPECT_TRUE(hold[v].test(instance.labels().label(v)))
+      EXPECT_TRUE(hold.test(v, instance.labels().label(v)))
           << family.name << " v=" << v;
     }
     EXPECT_EQ(schedule.total_time(), scatter_time(instance)) << family.name;

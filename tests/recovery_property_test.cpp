@@ -108,11 +108,10 @@ fault::FaultPlan sweep_plan(std::uint64_t seed, const graph::Graph& g) {
 /// (smallest id on ties) to exactly those neighbors.  Stops at the first
 /// round in which nobody sends, which is exactly when every live processor
 /// holds its component's closure.
-model::Schedule reference_completion(const graph::Graph& g,
-                                     std::vector<DynamicBitset> state,
+model::Schedule reference_completion(const graph::Graph& g, BitMatrix state,
                                      std::vector<char> live) {
   const graph::Vertex n = g.vertex_count();
-  const std::size_t message_count = n == 0 ? 0 : state[0].size();
+  const std::size_t message_count = state.bits();
   if (live.empty()) live.assign(n, 1);
   model::ScheduleBuilder schedule;
   std::vector<char> receiving(n, 0);
@@ -126,7 +125,7 @@ model::Schedule reference_completion(const graph::Graph& g,
       for (const graph::Vertex u : g.neighbors(v)) {
         if (!live[u] || receiving[u]) continue;
         for (std::size_t m = 0; m < message_count; ++m) {
-          if (state[v].test(m) && !state[u].test(m)) {
+          if (state.test(v, m) && !state.test(u, m)) {
             candidates.push_back(static_cast<model::Message>(m));
           }
         }
@@ -139,7 +138,7 @@ model::Schedule reference_completion(const graph::Graph& g,
       for (const model::Message m : candidates) {
         std::vector<graph::Vertex> receivers;
         for (const graph::Vertex u : g.neighbors(v)) {
-          if (live[u] && !receiving[u] && !state[u].test(m)) {
+          if (live[u] && !receiving[u] && !state.test(u, m)) {
             receivers.push_back(u);
           }
         }
@@ -156,7 +155,7 @@ model::Schedule reference_completion(const graph::Graph& g,
       schedule.add(t, best_message, v, best_receivers);
     }
     if (arrivals.empty()) break;
-    for (const auto& [u, m] : arrivals) state[u].set(m);
+    for (const auto& [u, m] : arrivals) state.set(u, m);
   }
   return schedule.build();
 }
@@ -187,7 +186,7 @@ std::size_t expect_same_stored(const model::Schedule& expected,
 /// One seeded degraded state for the stored-order comparison.
 struct PlannerCase {
   graph::Graph g;
-  std::vector<DynamicBitset> holds;
+  BitMatrix holds;
   std::vector<char> alive;  ///< empty = everyone alive
 };
 
@@ -237,11 +236,11 @@ PlannerCase planner_case(std::uint64_t seed) {
   } else {
     // Densities 0, 0.1, ..., 0.6; half the cases also hold their own id.
     const double density = 0.1 * static_cast<double>(seed % 7);
-    c.holds.assign(order, DynamicBitset(messages));
+    c.holds = BitMatrix(order, messages);
     for (graph::Vertex v = 0; v < order; ++v) {
-      if (seed % 2 == 0) c.holds[v].set(v);
+      if (seed % 2 == 0) c.holds.set(v, v);
       for (std::size_t m = 0; m < messages; ++m) {
-        if (rng.chance(density)) c.holds[v].set(m);
+        if (rng.chance(density)) c.holds.set(v, m);
       }
     }
   }
@@ -275,7 +274,7 @@ TEST(RecoveryProperty, PlannerMatchesPerBitReferenceInStoredOrder) {
     const model::Schedule actual =
         partial_completion_schedule(c.g, c.holds, c.alive);
     rounds += expect_same_stored(expected, actual);
-    const std::size_t messages = c.holds[0].size();
+    const std::size_t messages = c.holds.bits();
     multi_word += messages > 64;
     partial_word += messages % 64 != 0 && messages > 64;
     high_degree += graph::degree_stats(c.g).max >= 16;
@@ -436,8 +435,8 @@ TEST(RecoveryProperty, PartialCompletionFloodsEachComponentToItsClosure) {
   builder.add_edge(0, 1);
   builder.add_edge(2, 3);
   const auto g = builder.build();
-  std::vector<DynamicBitset> holds(4, DynamicBitset(4));
-  for (graph::Vertex v = 0; v < 4; ++v) holds[v].set(v);
+  BitMatrix holds(4, 4);
+  for (graph::Vertex v = 0; v < 4; ++v) holds.set(v, v);
 
   EXPECT_THROW((void)greedy_completion_schedule(g, holds),
                ContractViolation);
@@ -447,25 +446,18 @@ TEST(RecoveryProperty, PartialCompletionFloodsEachComponentToItsClosure) {
       g, schedule, holds_to_initial_sets(holds), 4,
       {.require_completion = false});
   EXPECT_TRUE(report.ok) << report.error;
-  // Replaying the schedule by hand: everyone ends with their component's
-  // two messages and nothing else.
-  std::vector<DynamicBitset> state = holds;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
-      for (const graph::Vertex r : schedule.receivers(tx)) {
-        state[r].set(tx.message);
-      }
-    }
-  }
+  // Everyone ends with their component's two messages and nothing else.
+  const BitMatrix state =
+      sim::simulate_from_holds(g, schedule, holds).final_holds;
   for (graph::Vertex v = 0; v < 4; ++v) {
-    EXPECT_EQ(state[v].count(), 2u) << "v=" << v;
+    EXPECT_EQ(state.count(v), 2u) << "v=" << v;
   }
 }
 
 TEST(RecoveryProperty, DeadProcessorsAreExcludedFromRepairs) {
   const auto g = graph::cycle(6);
-  std::vector<DynamicBitset> holds(6, DynamicBitset(6));
-  for (graph::Vertex v = 0; v < 6; ++v) holds[v].set(v);
+  BitMatrix holds(6, 6);
+  for (graph::Vertex v = 0; v < 6; ++v) holds.set(v, v);
   const std::vector<char> alive = {1, 1, 1, 0, 1, 1};
   const auto schedule = partial_completion_schedule(g, holds, alive);
   for (std::size_t t = 0; t < schedule.round_count(); ++t) {
@@ -478,18 +470,12 @@ TEST(RecoveryProperty, DeadProcessorsAreExcludedFromRepairs) {
   }
   // The survivors form a path 4-5-0-1-2: closure is everything they
   // jointly know (all messages but 3's).
-  std::vector<DynamicBitset> state = holds;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
-      for (const graph::Vertex r : schedule.receivers(tx)) {
-        state[r].set(tx.message);
-      }
-    }
-  }
+  const BitMatrix state =
+      sim::simulate_from_holds(g, schedule, holds).final_holds;
   for (graph::Vertex v = 0; v < 6; ++v) {
     if (v == 3) continue;
-    EXPECT_EQ(state[v].count(), 5u) << "v=" << v;
-    EXPECT_FALSE(state[v].test(3));
+    EXPECT_EQ(state.count(v), 5u) << "v=" << v;
+    EXPECT_FALSE(state.test(v, 3));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault.h"
+#include "gossip/patch.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
@@ -14,18 +15,26 @@
 namespace mg::gossip {
 namespace {
 
-std::vector<DynamicBitset> identity_holds(graph::Vertex n) {
-  std::vector<DynamicBitset> holds(n, DynamicBitset(n));
-  for (graph::Vertex v = 0; v < n; ++v) holds[v].set(v);
+BitMatrix identity_holds(graph::Vertex n) {
+  BitMatrix holds(n, n);
+  for (graph::Vertex v = 0; v < n; ++v) holds.set(v, v);
   return holds;
 }
 
-model::ValidationReport validate_completion(
-    const graph::Graph& g, const std::vector<DynamicBitset>& holds,
-    const model::Schedule& schedule) {
+/// Every processor holds every one of n messages.
+BitMatrix full_holds(graph::Vertex n) {
+  BitMatrix holds(n, n);
+  for (graph::Vertex v = 0; v < n; ++v) {
+    for (model::Message m = 0; m < n; ++m) holds.set(v, m);
+  }
+  return holds;
+}
+
+model::ValidationReport validate_completion(const graph::Graph& g,
+                                            const BitMatrix& holds,
+                                            const model::Schedule& schedule) {
   return model::validate_schedule_general(
-      g, schedule, holds_to_initial_sets(holds),
-      holds.empty() ? 0 : holds[0].size());
+      g, schedule, holds_to_initial_sets(holds), holds.bits());
 }
 
 TEST(Recovery, FromScratchIsAFullGossip) {
@@ -44,11 +53,8 @@ TEST(Recovery, FromScratchIsAFullGossip) {
 TEST(Recovery, AlmostCompleteStateFinishesFast) {
   // One processor missing one message: a single round fixes it.
   const auto g = graph::cycle(6);
-  std::vector<DynamicBitset> holds(6, DynamicBitset(6));
-  for (graph::Vertex v = 0; v < 6; ++v) {
-    for (model::Message m = 0; m < 6; ++m) holds[v].set(m);
-  }
-  holds[3].reset(0);
+  BitMatrix holds = full_holds(6);
+  holds.reset(3, 0);
   const auto schedule = greedy_completion_schedule(g, holds);
   EXPECT_TRUE(validate_completion(g, holds, schedule).ok);
   EXPECT_EQ(schedule.total_time(), 1u);
@@ -57,11 +63,7 @@ TEST(Recovery, AlmostCompleteStateFinishesFast) {
 
 TEST(Recovery, CompleteStateNeedsNothing) {
   const auto g = graph::path(4);
-  std::vector<DynamicBitset> holds(4, DynamicBitset(4));
-  for (graph::Vertex v = 0; v < 4; ++v) {
-    for (model::Message m = 0; m < 4; ++m) holds[v].set(m);
-  }
-  EXPECT_EQ(greedy_completion_schedule(g, holds).total_time(), 0u);
+  EXPECT_EQ(greedy_completion_schedule(g, full_holds(4)).total_time(), 0u);
 }
 
 TEST(Recovery, RepairsAFaultySimulation) {
@@ -90,33 +92,56 @@ TEST(Recovery, RepairUsesCrossEdgesOfTheNetwork) {
   // tree: from a state where only tree-leaf 3 misses message 15, the
   // repair takes a single round iff a neighbor of 3 knows message 15.
   const auto g = graph::fig4_network();
-  std::vector<DynamicBitset> holds(16, DynamicBitset(16));
-  for (graph::Vertex v = 0; v < 16; ++v) {
-    for (model::Message m = 0; m < 16; ++m) holds[v].set(m);
-  }
-  holds[3].reset(15);
+  BitMatrix holds = full_holds(16);
+  holds.reset(3, 15);
   const auto schedule = greedy_completion_schedule(g, holds);
   EXPECT_EQ(schedule.total_time(), 1u);
 }
 
 TEST(Recovery, UnknownMessageRejected) {
   const auto g = graph::path(3);
-  std::vector<DynamicBitset> holds(3, DynamicBitset(3));
-  holds[0].set(0);
-  holds[1].set(1);  // message 2 known nowhere
-  holds[2].set(1);
+  BitMatrix holds(3, 3);
+  holds.set(0, 0);
+  holds.set(1, 1);  // message 2 known nowhere
+  holds.set(2, 1);
   EXPECT_THROW((void)greedy_completion_schedule(g, holds),
                ContractViolation);
 }
 
 TEST(Recovery, HoldsToInitialSetsRoundTrip) {
-  std::vector<DynamicBitset> holds(2, DynamicBitset(3));
-  holds[0].set(0);
-  holds[0].set(2);
-  holds[1].set(1);
+  BitMatrix holds(2, 3);
+  holds.set(0, 0);
+  holds.set(0, 2);
+  holds.set(1, 1);
   const auto sets = holds_to_initial_sets(holds);
   EXPECT_EQ(sets[0], (std::vector<model::Message>{0, 2}));
   EXPECT_EQ(sets[1], (std::vector<model::Message>{1}));
+}
+
+TEST(Recovery, HoldMatricesNeedOneRowPerVertex) {
+  const auto g = graph::cycle(5);
+  const BitMatrix short_holds = identity_holds(4);
+  const model::Schedule empty;
+  EXPECT_THROW((void)sim::simulate_from_holds(g, empty, short_holds),
+               ContractViolation);
+  EXPECT_THROW((void)partial_completion_schedule(g, short_holds),
+               ContractViolation);
+  EXPECT_THROW((void)patch_schedule_from_holds(g, empty, short_holds),
+               ContractViolation);
+}
+
+TEST(Recovery, NoSurvivorIsNeitherCompleteNorCovered) {
+  // Every processor of a 3x3 grid crashes at round 0: nothing is live, so
+  // the run is not complete and covers nothing, while every (absent)
+  // survivor trivially holds its component's closure.
+  const auto g = graph::grid(3, 3);
+  fault::FaultPlan plan;
+  for (graph::Vertex v = 0; v < 9; ++v) plan.crash(v, 0);
+  const RecoveryOutcome outcome = solve_with_recovery(g, plan);
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_TRUE(outcome.recovered);
+  EXPECT_EQ(outcome.coverage, 0.0);
+  EXPECT_EQ(outcome.crashed.size(), 9u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // deleted `SimOptions` fields and the obs counters (the simulator under
 // test records those), as the oracle that tests/sim_core_test.cpp compares
 // every `SimResult` field and the sink's JSONL of
-// `sim::simulate(_from_holds)` against.
+// `sim::simulate(_from_holds)` against.  Only its boundary converts: the
+// hold matrix to per-node bitsets on entry, and back on exit.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "dynamic_bitset.h"
 #include "fault/fault.h"
 #include "graph/graph.h"
 #include "model/schedule.h"
@@ -20,16 +22,17 @@
 
 namespace mg::test {
 
-/// Executes `schedule` on `g` from the per-node hold sets `hold`;
-/// completion means every node holds all `hold[0].size()` messages.  Same
+/// Executes `schedule` on `g` from the per-node hold sets `holds`;
+/// completion means every node holds all `holds.bits()` messages.  Same
 /// contract as `sim::simulate_from_holds`.
 inline sim::SimResult reference_simulate_from_holds(
     const graph::Graph& g, const model::Schedule& schedule,
-    std::vector<DynamicBitset> hold, const sim::SimOptions& options = {}) {
+    const BitMatrix& holds, const sim::SimOptions& options = {}) {
   using graph::Vertex;
   using model::Message;
   const Vertex n = g.vertex_count();
-  const std::size_t message_count = n == 0 ? 0 : hold[0].size();
+  const std::size_t message_count = holds.bits();
+  std::vector<DynamicBitset> hold = rows_of(holds);
   sim::SimResult result;
   result.completion_time.assign(n, 0);
   result.missing.assign(n, 0);
@@ -200,7 +203,7 @@ inline sim::SimResult reference_simulate_from_holds(
     result.missing[v] = message_count - known[v];
     if (result.missing[v] != 0) result.completed = false;
   }
-  if (options.keep_final_holds) result.final_holds = std::move(hold);
+  result.final_holds = matrix_of(hold, message_count);
   return result;
 }
 

@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "dynamic_bitset.h"
 #include "graph/graph.h"
 #include "model/comm_model.h"
 #include "model/schedule.h"
 #include "model/validator.h"
-#include "support/bitset.h"
 
 namespace mg::test {
 

@@ -262,8 +262,7 @@ gossip::PatchResult patched(const graph::Graph& g, std::uint64_t seed) {
 
 /// The hold sets a ConcurrentUpDown run on `g`'s tree leaves behind under
 /// seeded 20% drops.
-std::vector<DynamicBitset> faulty_holds(const graph::Graph& g,
-                                        std::uint64_t seed) {
+BitMatrix faulty_holds(const graph::Graph& g, std::uint64_t seed) {
   const gossip::Solution sol = gossip::solve_gossip(g);
   fault::FaultPlan plan;
   plan.drop_rate(0.2).seed(seed);
@@ -285,14 +284,13 @@ std::vector<char> dead_mask(graph::Vertex n, std::uint64_t seed) {
 
 /// `message_count` messages, each held by each processor with
 /// probability 3/10.
-std::vector<DynamicBitset> random_holds(graph::Vertex n,
-                                        std::size_t message_count,
-                                        std::uint64_t seed) {
+BitMatrix random_holds(graph::Vertex n, std::size_t message_count,
+                       std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<DynamicBitset> holds(n, DynamicBitset(message_count));
-  for (auto& h : holds) {
+  BitMatrix holds(n, message_count);
+  for (graph::Vertex v = 0; v < n; ++v) {
     for (std::size_t m = 0; m < message_count; ++m) {
-      if (rng.below(10) < 3) h.set(m);
+      if (rng.below(10) < 3) holds.set(v, m);
     }
   }
   return holds;
@@ -379,7 +377,7 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
   Fingerprint64 dead;
   for (const auto& family : test::families()) {
     const graph::Graph g = family.make(9);
-    const std::vector<DynamicBitset> holds = faulty_holds(g, seed++);
+    const BitMatrix holds = faulty_holds(g, seed++);
     Fingerprint64 fp;
     fold_stored(fp, gossip::partial_completion_schedule(g, holds));
     record("partial/" + family.name, fp);

@@ -91,8 +91,8 @@ void expect_equal(const sim::SimResult& want, const sim::SimResult& got) {
 template <typename Run>
 void expect_matches_reference(const graph::Graph& g,
                               const model::Schedule& schedule,
-                              const std::vector<DynamicBitset>& holds,
-                              sim::SimOptions options, const Run& run) {
+                              const BitMatrix& holds, sim::SimOptions options,
+                              const Run& run) {
   std::ostringstream want_jsonl;
   obs::JsonLinesTraceSink want_sink(want_jsonl);
   options.sink = &want_sink;
@@ -111,11 +111,9 @@ void expect_matches_reference(const graph::Graph& g,
 
 /// The time-0 hold sets `sim::simulate` starts from: v holds message
 /// initial[v] of n.
-std::vector<DynamicBitset> identity_holds(
-    const std::vector<model::Message>& initial) {
-  std::vector<DynamicBitset> holds(initial.size(),
-                                   DynamicBitset(initial.size()));
-  for (std::size_t v = 0; v < initial.size(); ++v) holds[v].set(initial[v]);
+BitMatrix identity_holds(const std::vector<model::Message>& initial) {
+  BitMatrix holds(initial.size(), initial.size());
+  for (std::size_t v = 0; v < initial.size(); ++v) holds.set(v, initial[v]);
   return holds;
 }
 
@@ -182,9 +180,9 @@ TEST(SimReference, FromHoldsMatchesReference) {
 
     // Partial knowledge: node v starts holding the messages with
     // id <= v (a deterministic ragged start).
-    std::vector<DynamicBitset> holds(n, DynamicBitset(n));
+    BitMatrix holds(n, n);
     for (graph::Vertex v = 0; v < n; ++v) {
-      for (graph::Vertex m = 0; m <= v; ++m) holds[v].set(m);
+      for (graph::Vertex m = 0; m <= v; ++m) holds.set(v, m);
     }
     const fault::FaultPlan plan = make_plan(seed + 100, g);
 
@@ -195,21 +193,6 @@ TEST(SimReference, FromHoldsMatchesReference) {
           return sim::simulate_from_holds(tree, sol.schedule, holds, o);
         });
   }
-}
-
-TEST(SimReference, KeepFinalHoldsOff) {
-  // keep_final_holds = false leaves final_holds empty while the run still
-  // completes.
-  const graph::Graph g = make_graph(5);
-  const gossip::Solution sol =
-      gossip::solve_gossip(g, gossip::Algorithm::kSimple);
-  const graph::Graph tree = sol.instance.tree().as_graph();
-  sim::SimOptions options;
-  options.keep_final_holds = false;
-  const sim::SimResult result =
-      sim::simulate(tree, sol.schedule, sol.instance.initial(), options);
-  EXPECT_TRUE(result.completed);
-  EXPECT_TRUE(result.final_holds.empty());
 }
 
 }  // namespace

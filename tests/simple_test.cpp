@@ -113,12 +113,12 @@ TEST(Simple, RedundantFinalSlotTrimsAway) {
 
   // Replay knowledge through the next-to-last round.
   const auto initial = instance.initial();
-  std::vector<DynamicBitset> holds(n, DynamicBitset(n));
-  for (graph::Vertex v = 0; v < n; ++v) holds[v].set(initial[v]);
+  BitMatrix holds(n, n);
+  for (graph::Vertex v = 0; v < n; ++v) holds.set(v, initial[v]);
   for (std::size_t t = 0; t + 1 < makespan; ++t) {
     for (const auto& tx : schedule.round(t)) {
       for (const graph::Vertex r : schedule.receivers(tx)) {
-        holds[r].set(tx.message);
+        holds.set(r, tx.message);
       }
     }
   }
@@ -126,7 +126,7 @@ TEST(Simple, RedundantFinalSlotTrimsAway) {
   // The pinned finding: the whole final round is redundant.
   for (const auto& tx : schedule.round(makespan - 1)) {
     for (const graph::Vertex r : schedule.receivers(tx)) {
-      EXPECT_TRUE(holds[r].test(tx.message))
+      EXPECT_TRUE(holds.test(r, tx.message))
           << "final slot delivers something new; pin is stale";
     }
   }

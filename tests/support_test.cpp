@@ -1,8 +1,9 @@
-// Unit tests for the support kernel: contracts, RNG, bitset, thread pool,
+// Unit tests for the support kernel: contracts, RNG, bit matrix, thread pool,
 // table formatting, stopwatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -117,45 +118,58 @@ TEST(Rng, BelowZeroBoundIsContractViolation) {
   EXPECT_THROW(rng.below(0), ContractViolation);
 }
 
-TEST(Bitset, SetTestResetCount) {
-  DynamicBitset bits(130);
-  EXPECT_TRUE(bits.none());
-  bits.set(0);
-  bits.set(64);
-  bits.set(129);
-  EXPECT_TRUE(bits.test(0));
-  EXPECT_TRUE(bits.test(64));
-  EXPECT_TRUE(bits.test(129));
-  EXPECT_FALSE(bits.test(1));
-  EXPECT_EQ(bits.count(), 3u);
-  bits.reset(64);
-  EXPECT_FALSE(bits.test(64));
-  EXPECT_EQ(bits.count(), 2u);
+TEST(BitMatrix, AdjacentRowsStayIsolatedAcrossTheWordEdge) {
+  BitMatrix m(3, 130);
+  EXPECT_EQ(m.row_words(), 3u);
+  m.set(1, 63);
+  m.set(1, 64);
+  EXPECT_TRUE(m.test(1, 63));
+  EXPECT_TRUE(m.test(1, 64));
+  EXPECT_EQ(m.count(0), 0u);
+  EXPECT_EQ(m.count(1), 2u);
+  EXPECT_EQ(m.count(2), 0u);
+  EXPECT_EQ(m.row(1)[0], std::uint64_t{1} << 63);
+  EXPECT_EQ(m.row(1)[1], std::uint64_t{1});
+  m.reset(1, 64);
+  EXPECT_FALSE(m.test(1, 64));
+  EXPECT_EQ(m.count(1), 1u);
 }
 
-TEST(Bitset, AllRequiresEveryBit) {
-  DynamicBitset bits(66);
-  for (std::size_t i = 0; i < 66; ++i) {
-    EXPECT_FALSE(bits.all());
-    bits.set(i);
-  }
-  EXPECT_TRUE(bits.all());
+TEST(BitMatrix, LastWordPaddingStaysZero) {
+  BitMatrix m(2, 66);
+  for (std::size_t b = 0; b < 66; ++b) m.set(0, b);
+  EXPECT_EQ(m.count(0), 66u);
+  EXPECT_EQ(m.row(0)[1], std::uint64_t{3});  // bits 64 and 65 only
+  EXPECT_EQ(m.count(1), 0u);
+  EXPECT_EQ(m.row(1)[0], 0u);
 }
 
-TEST(Bitset, OutOfRangeIsContractViolation) {
-  DynamicBitset bits(8);
-  EXPECT_THROW(bits.set(8), ContractViolation);
-  EXPECT_THROW((void)bits.test(100), ContractViolation);
+TEST(BitMatrix, OutOfRangeIsContractViolation) {
+  BitMatrix m(2, 8);
+  EXPECT_THROW(m.set(0, 8), ContractViolation);
+  EXPECT_THROW((void)m.test(0, 100), ContractViolation);
+  EXPECT_THROW(m.set(2, 0), ContractViolation);
+  EXPECT_THROW((void)m.count(2), ContractViolation);
 }
 
-TEST(Bitset, EqualityComparesContents) {
-  DynamicBitset a(10);
-  DynamicBitset b(10);
+TEST(BitMatrix, EqualityComparesShapeAndContents) {
+  BitMatrix a(2, 10);
+  BitMatrix b(2, 10);
   EXPECT_EQ(a, b);
-  a.set(3);
+  a.set(1, 3);
   EXPECT_NE(a, b);
-  b.set(3);
+  b.set(1, 3);
   EXPECT_EQ(a, b);
+  EXPECT_NE(BitMatrix(2, 10), BitMatrix(2, 11));
+  EXPECT_NE(BitMatrix(2, 10), BitMatrix(1, 10));
+}
+
+TEST(BitMatrix, WordCountOverflowThrowsBeforeAllocating) {
+  // 2^62 rows of 4 words each: 2^64 words, which wraps std::size_t.
+  const std::size_t rows = std::size_t{1} << 62;
+  EXPECT_THROW((void)BitMatrix(rows, 256), ContractViolation);
+  EXPECT_THROW((void)BitMatrix(SIZE_MAX, 64), ContractViolation);
+  EXPECT_NO_THROW((void)BitMatrix(rows, 0));  // no words at all
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
