@@ -4,59 +4,20 @@
 
 namespace mg::obs {
 
-CausalTracer::CausalTracer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(std::make_unique<Slot[]>(capacity == 0 ? 1 : capacity)) {}
+CausalTracer::CausalTracer(std::size_t capacity) : ring_(capacity) {}
 
 CausalTracer& CausalTracer::global() {
   static CausalTracer instance;
   return instance;
 }
 
-void CausalTracer::record(const Event& event) {
-  const std::uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  if (index >= capacity_) return;  // full: counted as dropped, never blocks
-  Slot& slot = slots_[index];
-  slot.event = event;
-  slot.ready.store(true, std::memory_order_release);  // publish
-}
-
-std::uint64_t CausalTracer::recorded() const {
-  return std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                                 capacity_);
-}
-
-std::uint64_t CausalTracer::dropped() const {
-  const std::uint64_t claimed = next_.load(std::memory_order_relaxed);
-  return claimed > capacity_ ? claimed - capacity_ : 0;
-}
-
 std::vector<CausalTracer::Event> CausalTracer::snapshot() const {
-  const std::uint64_t published =
-      std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                              capacity_);
-  std::vector<Event> events;
-  events.reserve(published);
-  for (std::uint64_t i = 0; i < published; ++i) {
-    if (slots_[i].ready.load(std::memory_order_acquire)) {
-      events.push_back(slots_[i].event);
-    }
-  }
+  std::vector<Event> events = ring_.snapshot();
   std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;
   });
   return events;
-}
-
-void CausalTracer::clear() {
-  const std::uint64_t published =
-      std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                              capacity_);
-  for (std::uint64_t i = 0; i < published; ++i) {
-    slots_[i].ready.store(false, std::memory_order_relaxed);
-  }
-  next_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mg::obs

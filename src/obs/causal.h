@@ -10,7 +10,7 @@
 // initially).  Fields are plain integers, like TraceEvent, so obs stays
 // independent of the graph and schedule types.
 //
-// Events land in the same kind of *bounded lock-free ring* as SpanTracer:
+// Events land in the same `obs::BoundedRing` as SpanTracer's spans:
 // recording is one relaxed fetch_add to claim a slot, a plain write, and a
 // release store to publish.  A full ring counts drops instead of blocking
 // or reallocating, and the same two off switches apply: compile time
@@ -22,8 +22,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
+
+#include "obs/bounded_ring.h"
 
 namespace mg::obs {
 
@@ -66,7 +67,9 @@ class CausalTracer {
 
   /// Publishes one event; lock-free, drops when the ring is full.  Safe to
   /// call concurrently with snapshot().
-  void record(const Event& event);
+  void record(const Event& event) {
+    ring_.record([&](Event& slot) { slot = event; });
+  }
 
   /// record() only when enabled — the single-relaxed-load fast path the
   /// MG_OBS_CAUSAL macro compiles to.
@@ -74,13 +77,13 @@ class CausalTracer {
     if (enabled()) record(event);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
   /// Events accepted into the ring so far (<= capacity).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
 
   /// Events rejected because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
 
   /// Copies every published event, sorted by (time, id).  Events still
   /// being written by a concurrent record() are skipped, never torn.
@@ -88,21 +91,13 @@ class CausalTracer {
 
   /// Forgets every event.  Not safe concurrently with record() — quiesce
   /// (or disable) the tracer first.
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
   static constexpr std::size_t kDefaultCapacity = 1 << 15;  // 32768 events
 
-  struct Slot {
-    std::atomic<bool> ready{false};
-    Event event;
-  };
-
   std::atomic<bool> enabled_{false};
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};  ///< slots ever claimed (may exceed
-                                        ///< capacity; excess = dropped)
+  BoundedRing<Event> ring_;
 };
 
 }  // namespace mg::obs

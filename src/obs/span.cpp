@@ -22,9 +22,7 @@ thread_local std::uint32_t t_depth = 0;
 }  // namespace
 
 SpanTracer::SpanTracer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(std::make_unique<Slot[]>(capacity == 0 ? 1 : capacity)),
-      epoch_ns_(steady_now_ns()) {}
+    : ring_(capacity), epoch_ns_(steady_now_ns()) {}
 
 SpanTracer& SpanTracer::global() {
   static SpanTracer instance;
@@ -45,55 +43,24 @@ std::uint32_t SpanTracer::this_thread_id() {
 void SpanTracer::record(std::string_view name, std::uint32_t thread,
                         std::uint32_t depth, std::uint64_t start_ns,
                         std::uint64_t end_ns) {
-  const std::uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  if (index >= capacity_) return;  // full: counted as dropped, never blocks
-  Slot& slot = slots_[index];
-  const std::size_t copy = std::min(name.size(), kMaxNameLength);
-  std::memcpy(slot.span.name, name.data(), copy);
-  slot.span.name[copy] = '\0';
-  slot.span.thread = thread;
-  slot.span.depth = depth;
-  slot.span.start_ns = start_ns;
-  slot.span.end_ns = end_ns;
-  slot.ready.store(true, std::memory_order_release);  // publish
-}
-
-std::uint64_t SpanTracer::recorded() const {
-  return std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                                 capacity_);
-}
-
-std::uint64_t SpanTracer::dropped() const {
-  const std::uint64_t claimed = next_.load(std::memory_order_relaxed);
-  return claimed > capacity_ ? claimed - capacity_ : 0;
+  ring_.record([&](Span& span) {
+    const std::size_t copy = std::min(name.size(), kMaxNameLength);
+    std::memcpy(span.name, name.data(), copy);
+    span.name[copy] = '\0';
+    span.thread = thread;
+    span.depth = depth;
+    span.start_ns = start_ns;
+    span.end_ns = end_ns;
+  });
 }
 
 std::vector<SpanTracer::Span> SpanTracer::snapshot() const {
-  const std::uint64_t published =
-      std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                              capacity_);
-  std::vector<Span> spans;
-  spans.reserve(published);
-  for (std::uint64_t i = 0; i < published; ++i) {
-    if (slots_[i].ready.load(std::memory_order_acquire)) {
-      spans.push_back(slots_[i].span);
-    }
-  }
+  std::vector<Span> spans = ring_.snapshot();
   std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
     return a.end_ns > b.end_ns;  // parent before its same-start children
   });
   return spans;
-}
-
-void SpanTracer::clear() {
-  const std::uint64_t published =
-      std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
-                              capacity_);
-  for (std::uint64_t i = 0; i < published; ++i) {
-    slots_[i].ready.store(false, std::memory_order_relaxed);
-  }
-  next_.store(0, std::memory_order_relaxed);
 }
 
 ScopeSpan::ScopeSpan(SpanTracer& tracer, std::string_view name) {

@@ -9,9 +9,9 @@
 // lexical depth so tests and exporters can verify the bracketing without
 // reconstructing it from timestamps.
 //
-// Spans land in a *bounded lock-free ring buffer*: recording is one
+// Spans land in an `obs::BoundedRing` (bounded_ring.h): recording is one
 // relaxed fetch_add to claim a slot, a plain write, and one release store
-// to publish it.  When the buffer is full further spans are counted as
+// to publish it.  When the ring is full further spans are counted as
 // dropped rather than blocking or reallocating — tracing must never
 // disturb the workload it observes.  The same two off switches as the
 // metric registry apply: compile-time (`MG_OBS_ENABLED=0` turns
@@ -22,9 +22,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
+
+#include "obs/bounded_ring.h"
 
 namespace mg::obs {
 
@@ -71,13 +72,13 @@ class SpanTracer {
               std::uint32_t depth, std::uint64_t start_ns,
               std::uint64_t end_ns);
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
   /// Spans accepted into the ring so far (<= capacity).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
 
   /// Spans rejected because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
 
   /// Copies every published span, sorted by (start, end descending) so a
   /// parent precedes its children.  Spans still being written by a
@@ -86,22 +87,14 @@ class SpanTracer {
 
   /// Forgets every span.  Not safe concurrently with record() — quiesce
   /// (or disable) the tracer first.
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
   static constexpr std::size_t kDefaultCapacity = 1 << 14;  // 16384 spans
 
-  struct Slot {
-    std::atomic<bool> ready{false};
-    Span span;
-  };
-
   std::atomic<bool> enabled_{false};
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};  ///< slots ever claimed (may exceed
-                                        ///< capacity; excess = dropped)
-  std::uint64_t epoch_ns_;              ///< steady-clock origin
+  BoundedRing<Span> ring_;
+  std::uint64_t epoch_ns_;  ///< steady-clock origin
 };
 
 /// RAII guard producing one span in a tracer (the global one by default).

@@ -17,6 +17,7 @@
 
 #include "gossip/solve.h"
 #include "graph/generators.h"
+#include "obs/bounded_ring.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
@@ -357,6 +358,20 @@ TEST(Span, RingDropsWhenFullAndCounts) {
     ScopeSpan s(tracer, "after_clear");
   }
   EXPECT_EQ(tracer.recorded(), 1u);
+}
+
+TEST(BoundedRing, FullRingDropsAndClearForgets) {
+  BoundedRing<int> ring(3);
+  for (int i = 0; i < 5; ++i) ring.record([i](int& slot) { slot = i; });
+  EXPECT_EQ(ring.recorded(), 3u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{0, 1, 2}));
+  ring.clear();
+  EXPECT_EQ(ring.recorded(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_TRUE(ring.snapshot().empty());
+  ring.record([](int& slot) { slot = 7; });
+  EXPECT_EQ(ring.snapshot(), std::vector<int>{7});
 }
 
 TEST(Span, LongNamesAreTruncatedNotRejected) {
