@@ -12,10 +12,9 @@
 // `sentinel append` reduces the current BENCH_{gossip,fault,engine,scale,
 // churn,models,dist}.json files into one summary row per suite and appends them
 // to the history.  `sentinel check` reduces the same files and compares
-// each metric against the *median of the trailing matching rows* (same
-// suite and quick flag; wall-clock metrics additionally require the same
-// host, so a laptop's history never gates a CI runner) with per-metric
-// tolerances:
+// each metric against its trailing matching rows (same suite and quick
+// flag; wall-clock metrics additionally require the same host, so a
+// laptop's history never gates a CI runner) with per-metric tolerances:
 //
 //   * time metrics   (kind "ns"/"ms")  — fail when current exceeds the
 //     baseline by more than the tolerance (default +25%, e.g. sim_ns_p50);
@@ -23,7 +22,12 @@
 //     baseline by more than the tolerance (default -30%, e.g. the engine
 //     warm speedup);
 //   * exact metrics  (round and message counts) — deterministic under the
-//     fixed bench seeds; any increase fails.
+//     fixed bench seeds; any increase over the *smallest* trailing value
+//     fails.  Time and ratio metrics gate against the upper median.
+//
+// The smallest value, not the median, is what lets an exact gate fail in
+// CI: CI appends the fresh row before it checks, so with one committed row
+// a median baseline would be the grown count itself.
 //
 // Metrics with no matching baseline are reported and skipped — the first
 // run on a new host gates nothing and seeds the history instead.  CI runs
@@ -188,7 +192,8 @@ std::vector<HistoryRow> load_history(const std::string& path) {
   return rows;
 }
 
-/// Median of the trailing (up to `window`) baseline values for one metric.
+/// The baseline from the trailing (up to `window`) values of one metric:
+/// the smallest for an exact count, the upper median otherwise.
 std::optional<double> baseline_for(const std::vector<HistoryRow>& history,
                                    const SuiteRow& current,
                                    const Metric& metric,
@@ -208,7 +213,7 @@ std::optional<double> baseline_for(const std::vector<HistoryRow>& history,
                  values.end() - static_cast<std::ptrdiff_t>(window));
   }
   std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
+  return values[metric.kind == MetricKind::kExact ? 0 : values.size() / 2];
 }
 
 void write_history_row(std::ostream& out, const SuiteRow& row,
