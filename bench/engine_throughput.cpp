@@ -18,13 +18,14 @@
 //    rate.  Requests per second is reported beside it but not gated: a
 //    request that joins an in-flight solve counts as a hit, so coalescing
 //    inflates the request rate of the threaded rows.  Enforced only when
-//    the host has >= 4 hardware threads (or --force-speedup-gate): on a
-//    1-core container a CPU-bound speedup is physically impossible, and a
-//    gate that can never pass there would only teach people to ignore it.
-//    The measured values are always reported.
+//    the spin calibration run right before the 4-thread row reads at least
+//    3x (spin_calibration.h): on a host that gives no parallelism a
+//    CPU-bound speedup is physically impossible, and a gate that cannot
+//    pass there would only teach people to ignore it.  The measured values
+//    and the calibration are always reported.
 //
 //   engine_throughput [--out FILE] [--seed N] [--quick]
-//                     [--min-warm X] [--min-speedup X] [--force-speedup-gate]
+//                     [--min-warm X] [--min-speedup X]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -39,6 +40,7 @@
 #include "graph/named.h"
 #include "obs/json.h"
 #include "obs/registry.h"
+#include "spin_calibration.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 
@@ -158,7 +160,7 @@ bool check_run(const engine::Engine& eng,
 }
 
 int run(const std::string& out_path, std::uint64_t seed, bool quick,
-        double min_warm, double min_speedup, bool force_speedup_gate) {
+        double min_warm, double min_speedup) {
   const std::vector<NamedGraph> universe = make_universe(quick, seed);
   const std::size_t k = universe.size();
   const std::size_t stream_length = quick ? 600 : 4000;
@@ -250,7 +252,9 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
   };
   std::vector<ScalingRow> scaling;
   const std::size_t cache_capacity = std::max<std::size_t>(8, k / 2);
+  double spin_speedup = 0.0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    if (threads == 4) spin_speedup = bench::spin_calibration();
     engine::Engine eng(engine::EngineOptions{
         .cache_capacity = cache_capacity, .shards = 8, .threads = threads});
     obs::Registry::global().reset();
@@ -279,7 +283,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
   const double speedup_4t = scaling[2].rps / scaling[0].rps;
   const double solve_speedup_4t =
       scaling[2].solves_per_s / scaling[0].solves_per_s;
-  const bool speedup_gate_enforced = force_speedup_gate || hardware >= 4;
+  const bool speedup_gate_enforced = spin_speedup >= bench::kMinSpinSpeedup;
   const bool speedup_ok =
       !speedup_gate_enforced || solve_speedup_4t >= min_speedup;
   all_ok = all_ok && speedup_ok;
@@ -287,8 +291,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
       "4-thread speedup over serial: %.2fx by executed solves (gate >= "
       "%.2fx, %s) %s; %.2fx by requests (not gated)\n",
       solve_speedup_4t, min_speedup,
-      speedup_gate_enforced ? "enforced"
-                            : "reported only: < 4 hardware threads",
+      bench::spin_gate_note(spin_speedup).c_str(),
       speedup_ok ? "ok" : "VIOLATION", speedup_4t);
 
   // ---- BENCH_engine.json ----------------------------------------------
@@ -338,6 +341,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
   w.field("speedup_4t", speedup_4t);
   w.field("solve_speedup_4t", solve_speedup_4t);
   w.field("min_speedup", min_speedup);
+  w.field("spin_calibration", spin_speedup);
   w.field("gate_enforced", speedup_gate_enforced);
   w.field("pass", speedup_ok);
   w.end_object();
@@ -362,7 +366,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   double min_warm = 5.0;
   double min_speedup = 1.5;
-  bool force_speedup_gate = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
@@ -372,18 +375,14 @@ int main(int argc, char** argv) {
       min_warm = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       min_speedup = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--force-speedup-gate") == 0) {
-      force_speedup_gate = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else {
       std::fprintf(stderr,
                    "usage: engine_throughput [--out FILE] [--seed N] "
-                   "[--quick] [--min-warm X] [--min-speedup X] "
-                   "[--force-speedup-gate]\n");
+                   "[--quick] [--min-warm X] [--min-speedup X]\n");
       return 2;
     }
   }
-  return run(out_path, seed, quick, min_warm, min_speedup,
-             force_speedup_gate);
+  return run(out_path, seed, quick, min_warm, min_speedup);
 }

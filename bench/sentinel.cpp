@@ -126,10 +126,6 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
     time("solve_ms_total", sum_over_rows(doc.at("rows"), "solve_ms"));
     time("sim_ms_total", sum_over_rows(doc.at("rows"), "sim_ms"));
   } else if (out.suite == "churn") {
-    const JsonValue& pvr = doc.at("patch_vs_resolve");
-    if (!pvr.array.empty()) {
-      speedup("patch_speedup", pvr.array.front().at("speedup").as_number());
-    }
     time("patch_ns_p50",
          mean_over_rows(doc.at("churn_rate_sweep"), "patch_ns_p50"), 0.75);
     time("retree_ns_p50",

@@ -2,28 +2,24 @@
 
 #include <utility>
 
+#include "gossip/concurrent_updown.h"
 #include "gossip/instance.h"
 #include "obs/registry.h"
-#include "support/contracts.h"
 
 namespace mg::churn {
 
-ChurnSolver::ChurnSolver(graph::Graph g0, ChurnSolverOptions options,
+ChurnSolver::ChurnSolver(graph::Graph g0, ChurnSolverOptions /*options*/,
                          engine::Engine* engine, ThreadPool* pool)
-    : options_(options),
-      engine_(engine),
-      pool_(pool),
-      graph_(std::move(g0), options.graph),
-      tree_(graph_.snapshot(), options.tree, pool) {
+    : engine_(engine), graph_(std::move(g0)), tree_(graph_.snapshot(), pool) {
   resolve();
 }
 
 void ChurnSolver::resolve() {
   // The maintained tree is already a minimum-depth spanning tree of the
-  // current topology, so a re-anchor pays only the schedule construction —
-  // never a second center search.
+  // current topology, so this pays only the schedule construction — never
+  // a second center search.
   gossip::Instance instance(tree_.tree());
-  schedule_ = gossip::run_algorithm(instance, options_.algorithm);
+  schedule_ = gossip::concurrent_updown(instance);
   initial_ = instance.initial();
   ++stats_.resolves;
   MG_OBS_ADD("churn.solver.resolves", 1);
@@ -65,38 +61,15 @@ ApplyReport ChurnSolver::apply(const ChurnEvent& event) {
     }
   }
 
-  // 4. Reschedule: patch edge deltas, re-anchor everything else.
+  // 4. Reschedule on the maintained tree.  perfbench reads this histogram
+  // as `churn.reschedule_ms`.
+  {
+    MG_OBS_SCOPE_HIST(reschedule_hist, "churn.patch_ns");
+    resolve();
+  }
+  report.resolved = true;
   report.fresh_bound =
       static_cast<std::size_t>(g.vertex_count()) + tree_.radius();
-  const bool node_event = event.kind == EventKind::kAddNode ||
-                          event.kind == EventKind::kRemoveNode;
-  {
-    MG_OBS_SCOPE_HIST(patch_hist, "churn.patch_ns");
-    if (node_event) {
-      // The vertex universe (and the message-id space) changed: the old
-      // schedule is not patchable, by construction.
-      resolve();
-      report.resolved = true;
-    } else {
-      gossip::PatchResult patch =
-          gossip::patch_schedule(g, schedule_, initial_);
-      const double stale_limit =
-          options_.stale_factor * static_cast<double>(report.fresh_bound);
-      if (!patch.complete ||
-          static_cast<double>(patch.schedule.total_time()) > stale_limit) {
-        // Accumulated repairs drifted past the staleness budget (or the
-        // patch could not complete): re-anchor on the maintained tree.
-        resolve();
-        report.resolved = true;
-        MG_OBS_ADD("churn.solver.reanchors", 1);
-      } else {
-        schedule_ = std::move(patch.schedule);
-        report.patched = true;
-        ++stats_.patches;
-        MG_OBS_ADD("churn.solver.patches", 1);
-      }
-    }
-  }
   report.schedule_time = schedule_.total_time();
 
   ++stats_.events;

@@ -1,7 +1,6 @@
 // The online churn driver: owns the mutable topology and keeps the whole
-// downstream pipeline — min-depth spanning tree, compiled gossip schedule,
-// engine cache — consistent with it after every event, at incremental cost
-// whenever the certificates allow.
+// downstream pipeline — min-depth spanning tree, gossip schedule, engine
+// cache — consistent with it after every event.
 //
 // Per event, `apply` runs four steps:
 //   1. *mutate*     — apply the event to the `DynamicGraph`;
@@ -11,22 +10,19 @@
 //   3. *retree*     — incremental `IncrementalTree` maintenance (noop /
 //      parent patch / subtree repair / recenter / full rebuild, see
 //      tree/incremental.h);
-//   4. *reschedule* — edge events patch the compiled schedule via
-//      `gossip::patch_schedule`; node events, patches that fail to
-//      complete, and patches whose total time drifts past
-//      `stale_factor * (n + r)` re-anchor with a full solve on the
-//      maintained tree (no second center search).
-// Every decision is mirrored into `churn.solver.*` obs counters; the
-// differential battery replays feeds through this class and cross-checks
-// each step against the from-scratch pipeline.
+//   4. *reschedule* — ConcurrentUpDown on the maintained tree.  That tree
+//      is already a minimum-depth spanning tree of the mutated graph, so
+//      the step pays for synthesis alone (no second center search), and
+//      Theorem 1 makes every schedule exactly n + r.
+// Every decision is mirrored into `churn.*` obs counters; the differential
+// battery replays feeds through this class and checks each event's tree and
+// schedule against the from-scratch pipeline.
 #pragma once
 
 #include <cstdint>
 
 #include "churn/feed.h"
 #include "engine/engine.h"
-#include "gossip/patch.h"
-#include "gossip/solve.h"
 #include "graph/dynamic.h"
 #include "model/schedule.h"
 #include "tree/incremental.h"
@@ -34,12 +30,10 @@
 namespace mg::churn {
 
 struct ChurnSolverOptions {
-  gossip::Algorithm algorithm = gossip::Algorithm::kConcurrentUpDown;
-  tree::IncrementalTreeOptions tree;
-  graph::DynamicGraphOptions graph;
-  /// Re-anchor (full re-solve) when the patched schedule's total time
-  /// exceeds stale_factor * (n + r), the Theorem 1 bound for a fresh
-  /// solve on the current topology.
+  /// The bound the churn checkers enforce: an event's schedule may take at
+  /// most stale_factor * (n + r) rounds, n + r being the Theorem 1 bound
+  /// for a fresh solve on the current topology.  `apply` re-synthesizes on
+  /// every event, so its schedules take exactly n + r.
   double stale_factor = 2.0;
 };
 
@@ -47,25 +41,25 @@ struct ChurnSolverOptions {
 struct ApplyReport {
   ChurnEvent event;
   tree::MaintenanceReport tree_report;
-  bool patched = false;   ///< schedule updated by splicing a repair
-  bool resolved = false;  ///< schedule rebuilt by a full solve
+  bool patched = false;   ///< always false: no event splices a repair
+  bool resolved = false;  ///< always true: every event re-synthesizes
   std::size_t invalidated = 0;   ///< engine entries evicted
-  std::size_t schedule_time = 0; ///< patched/resolved schedule total time
+  std::size_t schedule_time = 0; ///< the new schedule's total time
   std::size_t fresh_bound = 0;   ///< n + r on the mutated topology
 };
 
 struct ChurnSolverStats {
   std::uint64_t events = 0;
-  std::uint64_t patches = 0;
   std::uint64_t resolves = 0;
   std::uint64_t invalidated = 0;
 };
 
 class ChurnSolver {
  public:
-  /// Solves gossip on `g0` once (the initial compiled schedule), then
-  /// stands by for events.  `engine` (optional) receives fingerprint-delta
-  /// invalidations; `pool` (optional) accelerates full rebuilds.
+  /// Solves gossip on `g0` once (the initial schedule), then stands by for
+  /// events.  `options` only carries the checkers' bound.  `engine`
+  /// (optional) receives fingerprint-delta invalidations; `pool` (optional)
+  /// accelerates full tree rebuilds.
   explicit ChurnSolver(graph::Graph g0, ChurnSolverOptions options = {},
                        engine::Engine* engine = nullptr,
                        ThreadPool* pool = nullptr);
@@ -82,11 +76,9 @@ class ChurnSolver {
   [[nodiscard]] const ChurnSolverStats& stats() const { return stats_; }
 
  private:
-  void resolve();  ///< full solve from the maintained tree
+  void resolve();  ///< ConcurrentUpDown on the maintained tree
 
-  ChurnSolverOptions options_;
   engine::Engine* engine_ = nullptr;
-  ThreadPool* pool_ = nullptr;
   graph::DynamicGraph graph_;
   tree::IncrementalTree tree_;
   model::Schedule schedule_;

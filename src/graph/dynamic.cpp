@@ -9,6 +9,12 @@ namespace mg::graph {
 
 namespace {
 
+/// The overlay collapses back into a flat CSR base once its entries (added
+/// + removed edge records) exceed max(kCollapseMin, directed base entries /
+/// kCollapseDivisor).
+constexpr std::size_t kCollapseMin = 64;
+constexpr std::size_t kCollapseDivisor = 4;
+
 /// Inserts `v` into sorted vector `vec` (absent), or erases it (present).
 /// Returns +1 on insert, -1 on erase.
 int toggle_sorted(std::vector<Vertex>& vec, Vertex v) {
@@ -27,13 +33,12 @@ bool contains_sorted(const std::vector<Vertex>& vec, Vertex v) {
 
 }  // namespace
 
-DynamicGraph::DynamicGraph(Graph base, DynamicGraphOptions options)
+DynamicGraph::DynamicGraph(Graph base)
     : n_(base.vertex_count()),
       edge_count_(base.edge_count()),
       base_(std::move(base)),
       added_(n_),
       removed_(n_),
-      options_(options),
       snapshot_(base_),
       snapshot_valid_(true) {}
 
@@ -203,9 +208,7 @@ void DynamicGraph::invalidate_snapshot() { snapshot_valid_ = false; }
 
 void DynamicGraph::maybe_collapse() {
   const std::size_t threshold =
-      std::max(options_.collapse_min,
-               base_.edge_count() * 2 / std::max<std::size_t>(
-                                            options_.collapse_divisor, 1));
+      std::max(kCollapseMin, base_.edge_count() * 2 / kCollapseDivisor);
   if (overlay_entries_ > threshold) {
     collapse();
     ++stats_.collapses;

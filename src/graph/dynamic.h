@@ -17,14 +17,6 @@
 
 namespace mg::graph {
 
-struct DynamicGraphOptions {
-  /// Collapse the overlay back into a flat CSR base once the number of
-  /// overlay entries (added + removed edge records) exceeds
-  /// max(collapse_min, directed base entries / collapse_divisor).
-  std::size_t collapse_min = 64;
-  std::size_t collapse_divisor = 4;
-};
-
 /// Churn statistics since construction (monotonic).
 struct DynamicGraphStats {
   std::uint64_t edges_added = 0;
@@ -36,7 +28,7 @@ struct DynamicGraphStats {
 
 class DynamicGraph {
  public:
-  explicit DynamicGraph(Graph base, DynamicGraphOptions options = {});
+  explicit DynamicGraph(Graph base);
 
   [[nodiscard]] Vertex vertex_count() const { return n_; }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
@@ -92,7 +84,6 @@ class DynamicGraph {
   std::vector<std::vector<Vertex>> added_;
   std::vector<std::vector<Vertex>> removed_;
   std::size_t overlay_entries_ = 0;  // directed records across both maps
-  DynamicGraphOptions options_;
   DynamicGraphStats stats_;
   mutable Graph snapshot_;
   mutable bool snapshot_valid_ = false;

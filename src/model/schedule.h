@@ -11,7 +11,7 @@
 //
 // `Schedule` stores that sequence as two CSR levels over three contiguous
 // arrays, the one representation every producer writes and every reader
-// (validator, simulator, actors, patching) walks:
+// (validator, simulator, actors, timeline) walks:
 //
 //   offsets_[t] .. offsets_[t+1]        -> the tuples of round t
 //   receivers_[tx.first .. +tx.count]   -> that tuple's D set
@@ -19,7 +19,7 @@
 // 16 bytes per tuple plus 4 bytes per delivery, three allocations in all.
 // Offsets are 32-bit; a schedule past 2^32 - 1 tuples or deliveries fails
 // a contract instead of wrapping.  Schedules are immutable once built: every
-// one comes out of a `ScheduleBuilder` (or `append`, the patching splice).
+// one comes out of a `ScheduleBuilder` (or `append`, a splice of two).
 #pragma once
 
 #include <algorithm>
@@ -84,7 +84,7 @@ class Schedule {
 
   /// Splices every transmission of `tail` into this schedule, shifted so
   /// tail round t lands at round `offset + t` after the tuples already
-  /// there — the schedule-patching primitive (base prefix + repair suffix).
+  /// there (a base prefix plus a suffix).
   void append(const Schedule& tail, std::size_t offset);
 
   /// Total communication time: latest receive time = (index of the last

@@ -26,8 +26,9 @@
 //             graph fingerprint, single-flight miss coalescing,
 //             fingerprint-delta invalidation
 //   churn/    dynamic topology: seeded churn feeds, the mutable CSR
-//             overlay, incremental spanning-tree maintenance, schedule
-//             patching, and the online churn solver tying them together
+//             overlay, incremental spanning-tree maintenance, and the
+//             online churn solver that re-synthesizes on the maintained
+//             tree after every event
 //   mmc/      the multimessage-multicasting generalization
 //   sim/      round-based execution, traces, fault injection, randomized
 //             rumor spreading

@@ -15,6 +15,10 @@ using graph::kNoVertex;
 using graph::kUnreachable;
 using graph::Vertex;
 
+/// Exact eccentricity re-evaluations tolerated per event before the decayed
+/// certificate triggers a full rebuild instead.
+constexpr std::size_t kCandidateBudget = 24;
+
 /// True when u and v share a neighbor (sorted-list intersection), i.e.
 /// their distance in the graph *without* a direct edge is exactly 2.
 bool have_common_neighbor(const Graph& g, Vertex u, Vertex v) {
@@ -86,12 +90,8 @@ const char* maintenance_path_name(MaintenancePath path) {
   return "unknown";
 }
 
-IncrementalTree::IncrementalTree(const graph::Graph& g,
-                                 IncrementalTreeOptions options,
-                                 ThreadPool* pool)
-    : options_(options),
-      pool_(pool),
-      tree_(min_depth_spanning_tree(g, pool, options.center)) {
+IncrementalTree::IncrementalTree(const graph::Graph& g, ThreadPool* pool)
+    : pool_(pool), tree_(min_depth_spanning_tree(g, pool)) {
   adopt_tree();
   MaintenanceReport ignored;
   seed_bounds(g, ignored);
@@ -211,7 +211,7 @@ void IncrementalTree::finish(const MaintenanceReport& report) {
 
 MaintenanceReport IncrementalTree::full_rebuild(const graph::Graph& g,
                                                 MaintenanceReport report) {
-  tree_ = min_depth_spanning_tree(g, pool_, options_.center);
+  tree_ = min_depth_spanning_tree(g, pool_);
   adopt_tree();
   seed_bounds(g, report);
   report.path = MaintenancePath::kFullRebuild;
@@ -252,7 +252,7 @@ Vertex IncrementalTree::rescan_center(const graph::Graph& g,
   }
   ecc_lb_[center_] = new_radius_c;
 
-  if (candidates.size() > options_.candidate_budget) return kNoVertex;
+  if (candidates.size() > kCandidateBudget) return kNoVertex;
 
   // Exact re-evaluation, ascending vertex id — exactly the exhaustive
   // tie-break: the smallest-id vertex of minimum eccentricity wins.

@@ -32,8 +32,9 @@
 //     smaller-id tie), so the maintainer lowers `ecc_lb` by the certified
 //     savings bound and exactly re-evaluates every vertex whose bound no
 //     longer excludes it.  A small candidate set is the common case; past
-//     `candidate_budget` the certificate has decayed and the maintainer
-//     falls back to a full rebuild (which re-tightens every bound).
+//     a fixed budget of 24 candidates the certificate has decayed and the
+//     maintainer falls back to a full rebuild (which re-tightens every
+//     bound).
 //
 // Identity contract (pinned by tests/churn_differential_test.cpp): while
 // the center search is in exhaustive mode (n <= CenterOptions::
@@ -49,7 +50,6 @@
 
 #include <cstdint>
 
-#include "graph/center.h"
 #include "graph/graph.h"
 #include "tree/spanning_tree.h"
 
@@ -89,23 +89,12 @@ struct IncrementalTreeStats {
   std::uint64_t candidate_evals = 0;
 };
 
-struct IncrementalTreeOptions {
-  /// Center-search configuration for full (re)builds; also decides the
-  /// identity regime (see header comment).
-  graph::CenterOptions center;
-  /// Exact re-evaluations tolerated per event before the decayed
-  /// certificate triggers a full rebuild instead.
-  std::uint32_t candidate_budget = 24;
-};
-
 /// Maintains `min_depth_spanning_tree(g)` across single-edge mutations.
 /// The caller owns the graph and reports each mutation *after* applying
 /// it; the maintainer never stores a reference to the graph.
 class IncrementalTree {
  public:
-  explicit IncrementalTree(const graph::Graph& g,
-                           IncrementalTreeOptions options = {},
-                           ThreadPool* pool = nullptr);
+  explicit IncrementalTree(const graph::Graph& g, ThreadPool* pool = nullptr);
 
   [[nodiscard]] const RootedTree& tree() const { return tree_; }
   [[nodiscard]] graph::Vertex center() const { return center_; }
@@ -152,7 +141,6 @@ class IncrementalTree {
   void rebuild_rooted_tree();
   void finish(const MaintenanceReport& report);
 
-  IncrementalTreeOptions options_;
   ThreadPool* pool_ = nullptr;
 
   graph::Vertex center_ = 0;

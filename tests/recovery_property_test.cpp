@@ -28,6 +28,7 @@
 #include "sim/network_sim.h"
 #include "support/contracts.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace mg::gossip {
 namespace {
@@ -160,29 +161,6 @@ model::Schedule reference_completion(const graph::Graph& g, BitMatrix state,
   return schedule.build();
 }
 
-/// Tuple-for-tuple equality in stored order, receivers included; returns
-/// the rounds compared.
-std::size_t expect_same_stored(const model::Schedule& expected,
-                               const model::Schedule& actual) {
-  EXPECT_EQ(expected.round_count(), actual.round_count());
-  const std::size_t rounds =
-      std::min(expected.round_count(), actual.round_count());
-  for (std::size_t t = 0; t < rounds; ++t) {
-    const auto a = expected.round(t);
-    const auto b = actual.round(t);
-    EXPECT_EQ(a.size(), b.size()) << "round " << t;
-    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-      const auto ra = expected.receivers(a[i]);
-      const auto rb = actual.receivers(b[i]);
-      EXPECT_TRUE(a[i].sender == b[i].sender &&
-                  a[i].message == b[i].message &&
-                  std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-          << "round " << t << " tuple " << i;
-    }
-  }
-  return rounds;
-}
-
 /// One seeded degraded state for the stored-order comparison.
 struct PlannerCase {
   graph::Graph g;
@@ -273,7 +251,7 @@ TEST(RecoveryProperty, PlannerMatchesPerBitReferenceInStoredOrder) {
         reference_completion(c.g, c.holds, c.alive);
     const model::Schedule actual =
         partial_completion_schedule(c.g, c.holds, c.alive);
-    rounds += expect_same_stored(expected, actual);
+    rounds += test::expect_same_stored(expected, actual);
     const std::size_t messages = c.holds.bits();
     multi_word += messages > 64;
     partial_word += messages % 64 != 0 && messages > 64;

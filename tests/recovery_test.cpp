@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault.h"
-#include "gossip/patch.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
@@ -125,8 +124,6 @@ TEST(Recovery, HoldMatricesNeedOneRowPerVertex) {
   EXPECT_THROW((void)sim::simulate_from_holds(g, empty, short_holds),
                ContractViolation);
   EXPECT_THROW((void)partial_completion_schedule(g, short_holds),
-               ContractViolation);
-  EXPECT_THROW((void)patch_schedule_from_holds(g, empty, short_holds),
                ContractViolation);
 }
 

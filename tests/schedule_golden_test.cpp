@@ -10,8 +10,7 @@
 // Corpus: the paper's named graphs and the differential battery's seeded
 // graphs with the four algorithms; ConcurrentUpDown without the (U3)
 // lookahead; Propagate-Up and Propagate-Down alone; the online protocol;
-// `adapt_schedule` under each built-in model; and one `patch_schedule` per
-// test family after a seeded tree-edge removal.
+// and `adapt_schedule` under each built-in model.
 //
 // Every ConcurrentUpDown-family schedule folded here (with and without the
 // lookahead, Propagate-Up, Propagate-Down, the online protocol and the
@@ -51,7 +50,6 @@
 #include "fault/fault.h"
 #include "gossip/concurrent_updown.h"
 #include "gossip/online.h"
-#include "gossip/patch.h"
 #include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/center.h"
@@ -227,39 +225,6 @@ constexpr gossip::Algorithm kAlgorithms[] = {
     gossip::Algorithm::kSimple, gossip::Algorithm::kUpDown,
     gossip::Algorithm::kConcurrentUpDown, gossip::Algorithm::kTelephone};
 
-/// `g` without edge {u, v}.
-graph::Graph without_edge(const graph::Graph& g, graph::Vertex u,
-                          graph::Vertex v) {
-  std::vector<graph::Edge> edges = g.edges();
-  std::erase(edges, graph::Edge{std::min(u, v), std::max(u, v)});
-  return graph::Graph::from_edges(g.vertex_count(), edges);
-}
-
-/// The ConcurrentUpDown schedule of `g` patched after removing a seeded
-/// tree edge; the edge keeps the network connected when one can.
-gossip::PatchResult patched(const graph::Graph& g, std::uint64_t seed) {
-  const gossip::Solution sol = gossip::solve_gossip(g);
-  const auto& tree = sol.instance.tree();
-  std::vector<graph::Vertex> children;
-  for (graph::Vertex v = 0; v < tree.vertex_count(); ++v) {
-    if (!tree.is_root(v)) children.push_back(v);
-  }
-  Rng rng(seed);
-  for (std::size_t i = children.size(); i > 1; --i) {
-    std::swap(children[i - 1], children[rng.below(i)]);
-  }
-  graph::Graph cut = without_edge(g, children.front(),
-                                  tree.parent(children.front()));
-  for (const graph::Vertex v : children) {
-    graph::Graph candidate = without_edge(g, v, tree.parent(v));
-    if (graph::is_connected(candidate)) {
-      cut = std::move(candidate);
-      break;
-    }
-  }
-  return gossip::patch_schedule(cut, sol.schedule, sol.instance.initial());
-}
-
 /// The hold sets a ConcurrentUpDown run on `g`'s tree leaves behind under
 /// seeded 20% drops.
 BitMatrix faulty_holds(const graph::Graph& g, std::uint64_t seed) {
@@ -366,12 +331,9 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_digests() {
     record("adapt/" + model::all_models()[m]->name(), adapted[m]);
   }
 
-  std::uint64_t seed = 0x9a7c4ULL;
-  for (const auto& family : test::families()) {
-    Fingerprint64 fp;
-    fold(fp, patched(family.make(6), seed++).schedule);
-    record("patch/" + family.name, fp);
-  }
+  // The digests below were recorded with seeds starting one per test
+  // family past 0x9a7c4.
+  std::uint64_t seed = 0x9a7c4ULL + test::families().size();
 
   // The central repair planner on degraded states.
   Fingerprint64 dead;
@@ -588,18 +550,6 @@ const std::vector<std::pair<std::string, std::uint64_t>> kGolden = {
     {"adapt/radio", 0x890102f0b1f0f522ULL},
     {"adapt/beep", 0x890102f0b1f0f522ULL},
     {"adapt/direct", 0x87c713300a46597cULL},
-    {"patch/path", 0xe78bc8a75c02248dULL},
-    {"patch/cycle", 0xad8ebac9ce958903ULL},
-    {"patch/star", 0x0760e65c92cc9a43ULL},
-    {"patch/complete", 0x0f1239a891a7f547ULL},
-    {"patch/binary_tree", 0x9788e99c8f32a955ULL},
-    {"patch/ternary_tree", 0x547dba6b572140e6ULL},
-    {"patch/grid", 0x5c78454b05c8081bULL},
-    {"patch/torus", 0xb9131d55afd7db16ULL},
-    {"patch/caterpillar", 0xf60004e8a37b4e34ULL},
-    {"patch/random_tree", 0x1e721ca96d865caeULL},
-    {"patch/random_gnp", 0xd52c15baa580a16dULL},
-    {"patch/random_geometric", 0x159849d52b94ecc5ULL},
     // Generated on the commit before the repair planners became
     // word-parallel, with `MG_GOLDEN_PRINT=1`.
     {"partial/path", 0xc428130eddd3caddULL},

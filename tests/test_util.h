@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "gossip/instance.h"
@@ -80,6 +81,29 @@ inline model::ValidationReport expect_valid_gossip(
                                          instance.initial(), options);
   EXPECT_TRUE(report.ok) << report.error;
   return report;
+}
+
+/// Tuple-for-tuple equality in stored order, receivers included; returns
+/// the rounds compared.
+inline std::size_t expect_same_stored(const model::Schedule& expected,
+                                      const model::Schedule& actual) {
+  EXPECT_EQ(expected.round_count(), actual.round_count());
+  const std::size_t rounds =
+      std::min(expected.round_count(), actual.round_count());
+  for (std::size_t t = 0; t < rounds; ++t) {
+    const auto a = expected.round(t);
+    const auto b = actual.round(t);
+    EXPECT_EQ(a.size(), b.size()) << "round " << t;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      const auto ra = expected.receivers(a[i]);
+      const auto rb = actual.receivers(b[i]);
+      EXPECT_TRUE(a[i].sender == b[i].sender &&
+                  a[i].message == b[i].message &&
+                  std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+          << "round " << t << " tuple " << i;
+    }
+  }
+  return rounds;
 }
 
 }  // namespace mg::test
