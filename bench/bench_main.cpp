@@ -167,6 +167,9 @@ int run_suite(const std::string& out_path, bool quick) {
       w.field("bound", bound);
       w.field("paper_bound", paper_bound_for(algorithm, n, r));
       w.field("valid", sol.report.ok);
+      w.field("runs", static_cast<std::uint64_t>(sol.schedule.run_count()));
+      w.field("schedule_bytes",
+              static_cast<std::uint64_t>(sol.schedule.stored_bytes()));
       w.field("wall_ns", wall_ns);
       w.key("counters").begin_object();
       for (const auto& [counter_name, value] : registry.snapshot().counters) {

@@ -92,9 +92,9 @@ double peak_rss_mb() {
 /// and receiver sets are untouched.
 model::Schedule single_message(const model::Schedule& schedule) {
   model::ScheduleBuilder out;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
-      out.add(t, 0, tx.sender, schedule.receivers(tx));
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const model::Tx& tx : round.txs()) {
+      out.add(round.index(), 0, tx.sender, schedule.receivers(tx));
     }
   }
   return out.build();
@@ -309,11 +309,12 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
   w.end_array();
 
   // --- Small-n full gossip: Theorem 1 at the n^2 wall ------------------
-  // Full gossip needs n(n-1) deliveries no matter the schedule, so its
-  // rows stop where quadratic memory starts to bite: at n = 8192 the
-  // schedule alone is ~1 GB (16 B per tuple + 4 B per delivery; see
-  // docs/SCALING.md).  The point here is that ConcurrentUpDown still
-  // validates and meets n + r end to end.
+  // Full gossip needs n(n-1) deliveries no matter the schedule.  The
+  // schedule itself is stored as runs (16 B per run plus 4 B per receiver
+  // entry; see docs/SCALING.md), a few MB at n = 8192, so what bites at
+  // these sizes is validation and simulation, which still visit every
+  // delivery.  The point here is that ConcurrentUpDown still validates and
+  // meets n + r end to end.
   w.key("gossip_rows").begin_array();
   {
     std::vector<graph::Vertex> sizes{512};
@@ -344,14 +345,21 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
       w.field("radius", static_cast<std::uint64_t>(radius));
       w.field("total_time", static_cast<std::uint64_t>(result.total_time));
       w.field("budget_n_plus_r", static_cast<std::uint64_t>(n + radius));
+      w.field("transmissions", solution.schedule.transmission_count());
+      w.field("runs",
+              static_cast<std::uint64_t>(solution.schedule.run_count()));
+      w.field("schedule_bytes",
+              static_cast<std::uint64_t>(solution.schedule.stored_bytes()));
       w.field("solve_ms", solve_ms);
       w.field("sim_ms", sim_ms);
       w.field("ok", ok);
       w.end_object();
-      std::printf("gossip n=%u: %zu rounds vs n+r=%zu, solve %.1f  sim %.1f "
-                  "ms  %s\n",
-                  n, result.total_time, n + radius, solve_ms, sim_ms,
-                  ok ? "ok" : "VIOLATION");
+      std::printf("gossip n=%u: %zu rounds vs n+r=%zu, %zu runs in %.2f MB, "
+                  "solve %.1f  sim %.1f ms  %s\n",
+                  n, result.total_time, n + radius,
+                  solution.schedule.run_count(),
+                  static_cast<double>(solution.schedule.stored_bytes()) / 1e6,
+                  solve_ms, sim_ms, ok ? "ok" : "VIOLATION");
     }
   }
   w.end_array();

@@ -110,6 +110,7 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
 
   if (out.suite == "gossip") {
     exact("rounds_total", sum_over_rows(doc.at("rows"), "rounds"));
+    exact("runs_total", sum_over_rows(doc.at("rows"), "runs"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
   } else if (out.suite == "fault") {
     time("sim_ns_p50", mean_over_rows(doc.at("rows"), "sim_ns_p50"));

@@ -10,17 +10,25 @@ namespace mg::dist {
 using graph::Vertex;
 using model::Message;
 
-TimetableRule::TimetableRule(const model::Schedule& schedule,
-                             graph::Vertex self)
-    : self_(self) {
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
-      if (tx.sender != self) continue;
+std::vector<std::unique_ptr<TimetableRule>> TimetableRule::for_all(
+    const model::Schedule& schedule, graph::Vertex n) {
+  std::vector<std::unique_ptr<TimetableRule>> rules;
+  rules.reserve(n);
+  for (Vertex v = 0; v < n; ++v) {
+    rules.push_back(std::make_unique<TimetableRule>(v));
+  }
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const model::Tx& tx : round.txs()) {
+      if (tx.sender >= n) continue;
+      TimetableRule& rule = *rules[tx.sender];
       const auto receivers = schedule.receivers(tx);
-      rows_.push_back({t, tx.message, receivers_.size(), receivers.size()});
-      receivers_.insert(receivers_.end(), receivers.begin(), receivers.end());
+      rule.rows_.push_back(
+          {round.index(), tx.message, rule.receivers_.size(), receivers.size()});
+      rule.receivers_.insert(rule.receivers_.end(), receivers.begin(),
+                             receivers.end());
     }
   }
+  return rules;
 }
 
 std::optional<model::Transmission> TimetableRule::decide(std::size_t t) {

@@ -91,8 +91,13 @@ class OnlineRule final : public LocalRule {
 /// centrally computed schedule, replayed at the specified times.
 class TimetableRule final : public LocalRule {
  public:
-  /// Copies the rows whose sender is `self` out of `schedule`.
-  TimetableRule(const model::Schedule& schedule, graph::Vertex self);
+  /// A rule with no rows: the actor never sends.
+  explicit TimetableRule(graph::Vertex self) : self_(self) {}
+
+  /// The rules of processors 0 .. n - 1, each holding the rows whose sender
+  /// it is, copied out of `schedule` in one pass over its rounds.
+  [[nodiscard]] static std::vector<std::unique_ptr<TimetableRule>> for_all(
+      const model::Schedule& schedule, graph::Vertex n);
 
   void observe(std::size_t, model::Message, bool) override {}
 

@@ -103,11 +103,13 @@ void ActorRuntime::use_timetable(const model::Schedule& schedule) {
   Impl& im = *impl_;
   MG_EXPECTS(im.actors.empty());
   const Vertex n = im.n();
+  std::vector<std::unique_ptr<TimetableRule>> rules =
+      TimetableRule::for_all(schedule, n);
   im.actors.reserve(n);
   for (Vertex v = 0; v < n; ++v) {
     im.actors.emplace_back(v, n, im.instance->labels().label(v),
                            network_neighbors(*im.network, v),
-                           std::make_unique<TimetableRule>(schedule, v));
+                           std::move(rules[v]));
   }
 }
 
@@ -418,11 +420,18 @@ VerifyReport verify_against_schedule(const model::Schedule& central,
   report.n_plus_r_ok =
       emergent.round_count() == static_cast<std::size_t>(n) + radius;
 
+  // A schedule past its last round reads as empty rounds.
   const std::size_t rounds =
       std::max(central.round_count(), emergent.round_count());
+  model::RoundCursor central_round(central);
+  model::RoundCursor emergent_round(emergent);
   for (std::size_t t = 0; t < rounds; ++t) {
-    const std::vector<model::Tx> a = model::canonical_round(central, t);
-    const std::vector<model::Tx> b = model::canonical_round(emergent, t);
+    const std::vector<model::Tx> a = model::canonical_round(
+        central, central_round.next() ? central_round.txs()
+                                      : std::span<const model::Tx>{});
+    const std::vector<model::Tx> b = model::canonical_round(
+        emergent, emergent_round.next() ? emergent_round.txs()
+                                        : std::span<const model::Tx>{});
     bool equal = a.size() == b.size();
     for (std::size_t i = 0; equal && i < a.size(); ++i) {
       const auto ra = central.receivers(a[i]);

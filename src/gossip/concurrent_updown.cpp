@@ -211,40 +211,20 @@ Runs derive_runs(const Instance& instance, const Phases& phases) {
   return out;
 }
 
-/// Writes the runs once, round by round with senders ascending, into arrays
-/// reserved to their exact size.  A live list holds the vertices with runs
-/// left, in id order, each with a copy of its current run, so a round reads
-/// the list front to back and touches the run array only when a run ends.
+/// Hands the runs to the builder: vertices in id order, each one's runs in
+/// round order.  Senders never fall, so the builder stores the runs without
+/// visiting a tuple; a round's tuples come out sender-ascending.
 Schedule synthesize(const Instance& instance, const Phases& phases) {
-  Runs runs = derive_runs(instance, phases);
+  const Runs runs = derive_runs(instance, phases);
   ScheduleBuilder builder;
-  builder.reserve(runs.rounds, runs.tuples, runs.deliveries);
-  struct Live {
-    Vertex v;
-    std::uint32_t next;  ///< the vertex's next run
-    Run run;             ///< and its current one
-  };
-  std::vector<Live> live;
+  builder.reserve(runs.runs.size(), runs.receivers.size());
   for (Vertex v = 0; v < instance.tree().vertex_count(); ++v) {
-    const std::uint32_t first = runs.begin[v];
-    if (first != runs.end[v]) live.push_back({v, first + 1, runs.runs[first]});
-  }
-  for (std::uint32_t t = 0; t < runs.rounds; ++t) {
-    std::size_t kept = 0;
-    for (std::size_t x = 0; x < live.size(); ++x) {
-      Live l = live[x];
-      if (l.run.t1 < t) {
-        if (l.next == runs.end[l.v]) continue;
-        l.run = runs.runs[l.next++];
-      }
-      if (l.run.t0 <= t) {
-        builder.add(t, l.run.m0 + (t - l.run.t0), l.v,
-                    std::span<const Vertex>(runs.receivers)
-                        .subspan(l.run.first, l.run.count));
-      }
-      live[kept++] = l;
+    for (std::uint32_t x = runs.begin[v]; x < runs.end[v]; ++x) {
+      const Run& run = runs.runs[x];
+      builder.add_run(run.t0, run.t1 - run.t0 + 1, run.m0, v,
+                      std::span<const Vertex>(runs.receivers)
+                          .subspan(run.first, run.count));
     }
-    live.resize(kept);
   }
   Schedule schedule = builder.build();
   MG_ENSURES(schedule.transmission_count() == runs.tuples &&

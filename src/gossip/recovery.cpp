@@ -306,9 +306,11 @@ RecoveryOutcome solve_with_recovery(const graph::Graph& g,
           options.extra_round_budget - out.extra_rounds;
       if (repair.round_count() > remaining) {
         model::ScheduleBuilder truncated;
-        for (std::size_t t = 0; t < remaining; ++t) {
-          for (const model::Tx& tx : repair.round(t)) {
-            truncated.add(t, tx.message, tx.sender, repair.receivers(tx));
+        for (model::RoundCursor round(repair);
+             round.next() && round.index() < remaining;) {
+          for (const model::Tx& tx : round.txs()) {
+            truncated.add(round.index(), tx.message, tx.sender,
+                          repair.receivers(tx));
           }
         }
         repair = truncated.build();

@@ -22,8 +22,9 @@ BusyMasks busy_masks(graph::Vertex n, const model::Schedule& schedule) {
   const std::size_t words = (masks.rounds + 63) / 64 + 1;
   masks.send.assign(n, std::vector<std::uint64_t>(words, 0));
   masks.receive.assign(n, std::vector<std::uint64_t>(words, 0));
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       masks.send[tx.sender][t >> 6] |= std::uint64_t{1} << (t & 63);
       for (graph::Vertex r : schedule.receivers(tx)) {
         // Receive happens at t + 1; the mask stores the *receive* round.
@@ -86,10 +87,10 @@ RepeatedGossipResult repeated_gossip(const Instance& instance,
   for (std::size_t c = 0; c < copies; ++c) {
     const std::size_t offset = c * result.period;
     const auto message_base = static_cast<model::Message>(c * n);
-    for (std::size_t t = 0; t < base.round_count(); ++t) {
-      for (const model::Tx& tx : base.round(t)) {
-        schedule.add(offset + t, message_base + tx.message, tx.sender,
-                     base.receivers(tx));
+    for (model::RoundCursor round(base); round.next();) {
+      for (const model::Tx& tx : round.txs()) {
+        schedule.add(offset + round.index(), message_base + tx.message,
+                     tx.sender, base.receivers(tx));
       }
     }
   }

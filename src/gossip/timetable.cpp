@@ -22,8 +22,9 @@ VertexTimetable vertex_timetable(const Instance& instance,
   table.send_to_children.assign(horizon, std::nullopt);
 
   const bool has_parent = !tree.is_root(v);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       const auto receivers = schedule.receivers(tx);
       if (tx.sender == v) {
         for (graph::Vertex r : receivers) {

@@ -59,10 +59,10 @@ WeightedResult weighted_gossip(const graph::Graph& g,
   result.schedule = concurrent_updown(result.virtual_instance);
 
   // Projection load: external = a transmission crossing real processors.
-  for (std::size_t t = 0; t < result.schedule.round_count(); ++t) {
+  for (model::RoundCursor round(result.schedule); round.next();) {
     std::vector<std::size_t> sends(n, 0);
     std::vector<std::size_t> receives(n, 0);
-    for (const model::Tx& tx : result.schedule.round(t)) {
+    for (const model::Tx& tx : round.txs()) {
       const graph::Vertex sender_real = result.real_of[tx.sender];
       bool external_send = false;
       for (graph::Vertex r : result.schedule.receivers(tx)) {

@@ -53,8 +53,8 @@ std::string MmcInstance::check(const model::Schedule& schedule) const {
   // Coverage: every message reaches every destination.
   std::vector<std::vector<char>> delivered(message_count(),
                                            std::vector<char>(n_, 0));
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const model::Tx& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) {
         delivered[tx.message][r] = 1;
       }

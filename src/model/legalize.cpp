@@ -46,13 +46,12 @@ bool fits_broadcast_subround(const graph::Graph& g, Vertex sender,
 Schedule legalize_telephone(const Schedule& schedule) {
   ScheduleBuilder out;
   std::size_t offset = 0;
-  const std::size_t src_rounds = schedule.total_time();
-  for (std::size_t t = 0; t < src_rounds; ++t) {
+  for (RoundCursor round(schedule); round.next();) {
     std::size_t width = 1;
-    for (const Tx& tx : schedule.round(t)) {
+    for (const Tx& tx : round.txs()) {
       width = std::max<std::size_t>(width, tx.count);
     }
-    for (const Tx& tx : schedule.round(t)) {
+    for (const Tx& tx : round.txs()) {
       const auto receivers = schedule.receivers(tx);
       for (std::size_t k = 0; k < receivers.size(); ++k) {
         out.add(offset + k, tx.message, tx.sender, {receivers[k]});
@@ -67,11 +66,10 @@ Schedule legalize_broadcast_channel(const graph::Graph& g,
                                     const Schedule& schedule) {
   ScheduleBuilder out;
   std::size_t offset = 0;
-  const std::size_t src_rounds = schedule.total_time();
   std::vector<SubRound> block;
-  for (std::size_t t = 0; t < src_rounds; ++t) {
+  for (RoundCursor round(schedule); round.next();) {
     block.clear();
-    for (const Tx& tx : schedule.round(t)) {
+    for (const Tx& tx : round.txs()) {
       const auto receivers = schedule.receivers(tx);
       SubRound* slot = nullptr;
       for (SubRound& sub : block) {

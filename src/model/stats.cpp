@@ -13,9 +13,9 @@ ScheduleStats compute_stats(graph::Vertex n, const Schedule& schedule) {
   stats.receives_per_processor.assign(n, 0);
   stats.per_round.assign(schedule.round_count(), {});
 
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    auto& round = stats.per_round[t];
-    for (const Tx& tx : schedule.round(t)) {
+  for (RoundCursor cursor(schedule); cursor.next();) {
+    auto& round = stats.per_round[cursor.index()];
+    for (const Tx& tx : cursor.txs()) {
       MG_EXPECTS(tx.sender < n);
       ++stats.transmissions;
       ++round.senders;

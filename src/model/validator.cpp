@@ -27,8 +27,8 @@ std::string describe(const Tx& tx, std::size_t t) {
 }
 
 /// "Never" for the 32-bit round stamps.  Every schedule's round indices
-/// stay below 2^32 - 1 (`ScheduleBuilder::add` and `Schedule::append`
-/// enforce it), so no round carries this stamp.
+/// stay below 2^32 - 1 (`ScheduleBuilder` enforces it), so no round carries
+/// this stamp.
 constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
 
 /// Message-major hold state: row m has one bit per processor, set when
@@ -60,8 +60,8 @@ struct Holds {
   std::vector<std::size_t> lacking;
 };
 
-/// Checks `schedule` round by round from the seeded hold state and applies
-/// each round's deliveries one round behind; see validator.h.
+/// Checks `schedule` round by round from the seeded hold state, applying
+/// each round's deliveries once it passed; see validator.h.
 /// `kCollisions` is the model's `collision_loss()`, the radio/beep
 /// delivery rule.
 template <bool kCollisions>
@@ -86,33 +86,13 @@ ValidationReport check_and_deliver(const graph::Graph& g,
   // Same-round arrivals per receiver, for the collision verdict.
   std::vector<std::uint32_t> incoming(kCollisions ? n : 0, 0);
 
-  // Applies round `sent`'s deliveries, which land at time sent + 1
-  // (receive-before-send): the round passed every check, so it is read
-  // straight from the schedule.  Under a collision model a delivery lands
-  // only if the receiver was not itself transmitting (half-duplex) and
-  // heard exactly one transmission.
-  const auto deliver = [&](std::size_t sent) {
-    const auto stamp = static_cast<std::uint32_t>(sent);
-    for (const Tx& tx : schedule.round(sent)) {
-      std::uint64_t* const row = holds.row(tx.message);
-      for (const graph::Vertex r : schedule.receivers(tx)) {
-        if constexpr (kCollisions) {
-          if (sender_seen[r] == stamp || incoming[r] >= 2) {
-            ++report.collided;
-            continue;
-          }
-        }
-        if (holds.add(row, r)) report.completion_time[r] = sent + 1;
-      }
-    }
-  };
-
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    if (t > 0) deliver(t - 1);
-    if constexpr (kCollisions) std::fill(incoming.begin(), incoming.end(), 0);
+  for (RoundCursor cursor(schedule); cursor.next();) {
+    const std::size_t t = cursor.index();
+    const std::span<const Tx> round = cursor.txs();
     const auto stamp = static_cast<std::uint32_t>(t);
 
-    for (const Tx& tx : schedule.round(t)) {
+    // Check round t against the holds after every earlier round.
+    for (const Tx& tx : round) {
       const auto receivers = schedule.receivers(tx);
       if (tx.sender >= n) {
         return reject(report, "sender index out of range", tx, t);
@@ -168,8 +148,25 @@ ValidationReport check_and_deliver(const graph::Graph& g,
         }
       }
     }
+
+    // Round t passed every check: apply its deliveries, which land at time
+    // t + 1 (receive-before-send).  Under a collision model a delivery lands
+    // only if the receiver was not itself transmitting (half-duplex) and
+    // heard exactly one transmission.
+    for (const Tx& tx : round) {
+      std::uint64_t* const row = holds.row(tx.message);
+      for (const graph::Vertex r : schedule.receivers(tx)) {
+        if constexpr (kCollisions) {
+          if (sender_seen[r] == stamp || incoming[r] >= 2) {
+            ++report.collided;
+            continue;
+          }
+        }
+        if (holds.add(row, r)) report.completion_time[r] = t + 1;
+      }
+    }
+    if constexpr (kCollisions) std::fill(incoming.begin(), incoming.end(), 0);
   }
-  if (schedule.round_count() > 0) deliver(schedule.round_count() - 1);
 
   report.total_time = schedule.total_time();
 
@@ -264,8 +261,8 @@ ValidationReport validate_broadcast(const graph::Graph& g,
   const graph::Vertex n = g.vertex_count();
   std::vector<char> has(n, 0);
   has[source] = 1;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const Tx& tx : schedule.round(t)) {
+  for (RoundCursor round(schedule); round.next();) {
+    for (const Tx& tx : round.txs()) {
       if (tx.message != source) {
         report.ok = false;
         report.error = "broadcast schedule carries a foreign message";

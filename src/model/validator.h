@@ -34,9 +34,9 @@
 // (or the same-round arrival count under radio/beep).  Adjacency is one
 // merge of the sorted D against the sender's sorted neighbor row, so a
 // tuple costs O(deg(sender) + |D|) and the first non-adjacent receiver is
-// the one reported.  The delivery pass applies the round one round behind,
-// re-reading it while it is still cache-resident; per-processor `lacking`
-// counters give the completion times.  Round stamps are 32-bit, which every
+// the one reported.  The delivery pass then applies the round, re-reading
+// the cursor's span of it while it is still cache-resident; per-processor
+// `lacking` counters give the completion times.  Round stamps are 32-bit, which every
 // `Schedule` allows (round indices stay below 2^32 - 1).
 // tests/reference_validator.h keeps the previous per-processor-bitset
 // validator, and tests/validator_fuzz_test.cpp pins every report field of

@@ -113,14 +113,16 @@ SimResult simulate_from_holds(const graph::Graph& g,
   // executor.
   const bool fast_path =
       plan == nullptr && options.sink == nullptr && !collisions;
+  model::RoundCursor cursor(schedule);
   if (fast_path) {
-    for (std::size_t t = 0; t < rounds; ++t) {
+    while (cursor.next()) {
+      const std::size_t t = cursor.index();
       if (t > 0) {
         apply_arrivals(t);
         result.knowledge.push_back(total_known);  // state at time t
       }
       auto& bucket = ring[(t + 1) & ring_mask];
-      for (const model::Tx& tx : schedule.round(t)) {
+      for (const model::Tx& tx : cursor.txs()) {
         MG_EXPECTS(tx.sender < n);
         MG_EXPECTS(tx.message < message_count);
         const bool sender_holds =
@@ -144,7 +146,9 @@ SimResult simulate_from_holds(const graph::Graph& g,
       }
     }
   }
-  for (std::size_t t = 0; !fast_path && t < rounds; ++t) {
+  while (!fast_path && cursor.next()) {
+    const std::size_t t = cursor.index();
+    const std::span<const model::Tx> round = cursor.txs();
     if (t > 0) {
       apply_arrivals(t);
       result.knowledge.push_back(total_known);  // state at time t
@@ -154,7 +158,7 @@ SimResult simulate_from_holds(const graph::Graph& g,
       // Channel pre-pass: who actually transmits this round (the same
       // crash/drop/hold verdicts as the delivery loop below — all pure
       // queries) and how many transmissions each receiver hears.
-      for (const model::Tx& tx : schedule.round(t)) {
+      for (const model::Tx& tx : round) {
         if (plan != nullptr && (plan->crashed(tx.sender, abs_t) ||
                                 plan->drops(abs_t, tx.sender))) {
           continue;
@@ -170,7 +174,7 @@ SimResult simulate_from_holds(const graph::Graph& g,
         }
       }
     }
-    for (const model::Tx& tx : schedule.round(t)) {
+    for (const model::Tx& tx : round) {
       const auto receivers = schedule.receivers(tx);
       const Vertex first_receiver =
           receivers.empty() ? tx.sender : receivers.front();

@@ -36,8 +36,9 @@ TEST(Broadcast, EachVertexReceivesAtItsBfsDistance) {
   const auto schedule = multicast_broadcast(g, source);
   const auto dist = graph::bfs_distances(g, source);
   std::vector<std::size_t> arrival(g.vertex_count(), 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) arrival[r] = t + 1;
     }
   }
@@ -51,8 +52,8 @@ TEST(Broadcast, EveryVertexReceivesExactlyOnce) {
   const auto g = graph::petersen();
   const auto schedule = multicast_broadcast(g, 0);
   std::vector<int> receipts(10, 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) ++receipts[r];
     }
   }

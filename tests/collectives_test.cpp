@@ -28,8 +28,8 @@ BitMatrix replay(const Instance& instance, const model::Schedule& schedule,
       hold.set(v, instance.labels().label(v));
     }
   }
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) hold.set(r, tx.message);
     }
   }
@@ -75,8 +75,9 @@ TEST(Gather, RootReceivesMessageMAtTimeM) {
   const auto schedule = gather_schedule(instance);
   const auto root = instance.tree().root();
   std::vector<std::size_t> arrival(16, 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == root) arrival[tx.message] = t + 1;
       }
@@ -126,9 +127,10 @@ TEST(Scatter, DeepestFirstBeatsShallowFirstOnCombTrees) {
 TEST(Scatter, PerVertexReceiveOncePerRound) {
   const auto instance = Instance::from_network(graph::grid(4, 4));
   const auto schedule = scatter_schedule(instance);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
     std::vector<graph::Vertex> receivers;
-    for (const auto& tx : schedule.round(t)) {
+    for (const auto& tx : round.txs()) {
       const auto d = schedule.receivers(tx);
       receivers.insert(receivers.end(), d.begin(), d.end());
     }

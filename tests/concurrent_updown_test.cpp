@@ -46,8 +46,9 @@ TEST(PropagateUp, LemmaTwoRootReceivesEverythingOnTime) {
   const auto up = propagate_up(instance);
   const auto root = instance.tree().root();
   std::vector<std::size_t> arrival(16, SIZE_MAX);
-  for (std::size_t t = 0; t < up.round_count(); ++t) {
-    for (const auto& tx : up.round(t)) {
+  for (model::RoundCursor round(up); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : up.receivers(tx)) {
         if (r == root) arrival[tx.message] = std::min(arrival[tx.message], t + 1);
       }
@@ -68,8 +69,9 @@ TEST(PropagateUp, EveryVertexReceivesItsSubtreeSequentially) {
   const auto& labels = instance.labels();
   const auto up = propagate_up(instance);
 
-  for (std::size_t t = 0; t < up.round_count(); ++t) {
-    for (const auto& tx : up.round(t)) {
+  for (model::RoundCursor round(up); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : up.receivers(tx)) {
         // Who receives message m at time t+1 in the up schedule?
         const auto i = labels.label(r);
@@ -90,7 +92,8 @@ TEST(PropagateUp, LipMessagesLeaveAtTimeZero) {
   // First children in Fig. 5: 1 (of 0), 2 (of 1), 5 (of 4), 6 (of 5),
   // 9 (of 8), 12 (of 11), 13 (of 12).
   std::vector<graph::Vertex> senders;
-  for (const auto& tx : up.round(0)) senders.push_back(tx.sender);
+  const auto rounds = test::rounds_of(up);
+  for (const auto& tx : rounds.at(0)) senders.push_back(tx.sender);
   std::sort(senders.begin(), senders.end());
   EXPECT_EQ(senders,
             (std::vector<graph::Vertex>{1, 2, 5, 6, 9, 12, 13}));
@@ -114,10 +117,11 @@ TEST(PropagateDown, NoConflictsGivenUpDelivery) {
   // we check by counting senders and receivers per round.
   const auto instance = fig4_instance();
   const auto down = propagate_down(instance);
-  for (std::size_t t = 0; t < down.round_count(); ++t) {
+  for (model::RoundCursor round(down); round.next();) {
+    const std::size_t t = round.index();
     std::vector<graph::Vertex> senders;
     std::vector<graph::Vertex> receivers;
-    for (const auto& tx : down.round(t)) {
+    for (const auto& tx : round.txs()) {
       senders.push_back(tx.sender);
       const auto d = down.receivers(tx);
       receivers.insert(receivers.end(), d.begin(), d.end());
@@ -140,9 +144,9 @@ TEST(ConcurrentUpDown, UpAndDownOverlapOnlyOnEqualMessages) {
   // implicitly by concurrent_updown's internal assertion, re-checked here.
   const auto instance = fig4_instance();
   const auto merged = concurrent_updown(instance);
-  for (std::size_t t = 0; t < merged.round_count(); ++t) {
+  for (model::RoundCursor round(merged); round.next();) {
     std::vector<graph::Vertex> senders;
-    for (const auto& tx : merged.round(t)) senders.push_back(tx.sender);
+    for (const auto& tx : round.txs()) senders.push_back(tx.sender);
     std::sort(senders.begin(), senders.end());
     EXPECT_EQ(std::adjacent_find(senders.begin(), senders.end()),
               senders.end());

@@ -289,8 +289,8 @@ TEST(DistRecoveryProperty, DeadActorsNeverAppearInRepairs) {
   options.faults = &plan;
   const DistOutcome outcome =
       run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
-  for (std::size_t t = 0; t < outcome.run.repair.round_count(); ++t) {
-    for (const auto& tx : outcome.run.repair.round(t)) {
+  for (model::RoundCursor round(outcome.run.repair); round.next();) {
+    for (const auto& tx : round.txs()) {
       EXPECT_NE(tx.sender, 3u);
       for (const graph::Vertex r : outcome.run.repair.receivers(tx)) {
         EXPECT_NE(r, 3u);
@@ -348,7 +348,7 @@ Envelope digest_from(graph::Vertex sender,
 /// whoever the test says; neighbors only matter for step_digest).
 ProcessorActor grant_actor() {
   return ProcessorActor(5, 130, 5, {},
-                        std::make_unique<TimetableRule>(model::Schedule{}, 5));
+                        std::make_unique<TimetableRule>(5));
 }
 
 /// The one grant `out` carries: (granted sender, requested message).
@@ -427,7 +427,7 @@ TEST(DistRecoveryProperty, DigestSnapshotIsACopyOfTheHoldWords) {
   // step_digest writes the hold words into the caller's row once, and the
   // one envelope every neighbor receives views that row.
   ProcessorActor actor(5, 130, 5, {1, 2, 3},
-                       std::make_unique<TimetableRule>(model::Schedule{}, 5));
+                       std::make_unique<TimetableRule>(5));
   std::vector<std::uint64_t> row(3, ~std::uint64_t{0});
   const Outbox out = actor.step_digest(row);
   EXPECT_TRUE(std::ranges::equal(row, actor.holds().row(0)));

@@ -56,8 +56,9 @@ TEST(LineOptimal, CenterReceivesAlternatingArms) {
   const auto schedule = line_optimal_gossip(m);
   const graph::Vertex center = m;
   std::vector<std::size_t> arrival(2 * m + 1, 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == center) arrival[tx.message] = t + 1;
       }
@@ -91,8 +92,8 @@ TEST(LineOptimal, ProtocolIsNonUniform) {
   const graph::Vertex right1 = m + 1;
   std::size_t left_own_sends = 0;
   std::size_t right_own_sends = 0;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const auto& tx : round.txs()) {
       if (tx.sender == left1 && tx.message == left1) ++left_own_sends;
       if (tx.sender == right1 && tx.message == right1) ++right_own_sends;
     }

@@ -47,9 +47,10 @@ struct ScheduleShrinkResult {
 inline model::Schedule schedule_prefix(const model::Schedule& schedule,
                                        std::size_t rounds) {
   model::ScheduleBuilder out;
-  for (std::size_t t = 0; t < rounds && t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
-      out.add(t, tx.message, tx.sender, schedule.receivers(tx));
+  for (model::RoundCursor round(schedule);
+       round.next() && round.index() < rounds;) {
+    for (const model::Tx& tx : round.txs()) {
+      out.add(round.index(), tx.message, tx.sender, schedule.receivers(tx));
     }
   }
   return out.build();
@@ -61,8 +62,9 @@ inline model::Schedule elide_transmission(const model::Schedule& schedule,
                                           std::size_t skip) {
   model::ScheduleBuilder out;
   std::size_t flat = 0;
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const model::Tx& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       if (flat++ != skip) {
         out.add(t, tx.message, tx.sender, schedule.receivers(tx));
       }
@@ -116,8 +118,9 @@ inline std::string regression_snippet(const ScheduleShrinkResult& shrunk,
       << " rounds\n";
   out << "const graph::Graph g = " << graph_expr << ";\n";
   out << "model::ScheduleBuilder builder;\n";
-  for (std::size_t t = 0; t < shrunk.schedule.round_count(); ++t) {
-    for (const model::Tx& tx : shrunk.schedule.round(t)) {
+  for (model::RoundCursor round(shrunk.schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       out << "builder.add(" << t << ", {" << tx.message << ", " << tx.sender
           << ", {";
       const auto receivers = shrunk.schedule.receivers(tx);

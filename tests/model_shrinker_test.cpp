@@ -22,6 +22,7 @@
 #include "model/legalize.h"
 #include "model/validator.h"
 #include "model_shrinker.h"
+#include "reference_schedule.h"
 #include "support/rng.h"
 
 namespace mg {
@@ -109,8 +110,9 @@ TEST(ModelShrinker, ShrinksCorruptedScheduleToOffender) {
   bool clipped = false;
   model::Message offender_message = 0;
   graph::Vertex offender_sender = 0;
-  for (std::size_t t = 0; t < adapted.schedule.round_count(); ++t) {
-    for (const model::Tx& tx : adapted.schedule.round(t)) {
+  for (model::RoundCursor round(adapted.schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       const auto receivers = adapted.schedule.receivers(tx);
       if (!clipped && t == 0 && receivers.size() > 1) {
         builder.add(t, tx.message, tx.sender, {receivers.front()});
@@ -142,7 +144,7 @@ TEST(ModelShrinker, ShrinksCorruptedScheduleToOffender) {
   ASSERT_TRUE(shrunk.reproduced);
   EXPECT_EQ(shrunk.schedule.round_count(), 1u);
   ASSERT_EQ(shrunk.schedule.transmission_count(), 1u);
-  const auto& survivor = shrunk.schedule.round(0).front();
+  const model::Tx survivor = test::rounds_of(shrunk.schedule).at(0).front();
   EXPECT_EQ(survivor.message, offender_message);
   EXPECT_EQ(survivor.sender, offender_sender);
   EXPECT_EQ(survivor.count, 1u);

@@ -75,8 +75,8 @@ TEST(Online, MatchesOfflineOnRandomTrees) {
 
 /// True when senders strictly ascend inside every round of `schedule`.
 bool sender_ordered(const model::Schedule& schedule) {
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    const auto round = schedule.round(t);
+  for (model::RoundCursor cursor(schedule); cursor.next();) {
+    const auto round = cursor.txs();
     for (std::size_t i = 1; i < round.size(); ++i) {
       if (round[i - 1].sender >= round[i].sender) return false;
     }
@@ -125,10 +125,11 @@ TEST(Online, PerProcessorDecisionParityWithOffline) {
         procs.emplace_back(local_info_for(instance, v));
       }
 
+      const auto rounds = test::rounds_of(offline);
       for (std::size_t t = 0; t < offline.round_count(); ++t) {
         // Receive (sends of round t-1 arrive at t) happens before send.
         if (t > 0) {
-          for (const auto& tx : offline.round(t - 1)) {
+          for (const auto& tx : rounds[t - 1]) {
             for (const graph::Vertex r : offline.receivers(tx)) {
               procs[r].deliver(t, tx.message,
                                /*from_parent=*/!tree.is_root(r) &&
@@ -137,7 +138,7 @@ TEST(Online, PerProcessorDecisionParityWithOffline) {
           }
         }
         std::vector<std::optional<model::Transmission>> expected(n);
-        for (const auto& tx : offline.round(t)) {
+        for (const auto& tx : rounds[t]) {
           expected[tx.sender] = test::transmission_of(offline, tx);
         }
         for (graph::Vertex v = 0; v < n; ++v) {

@@ -31,8 +31,9 @@ TEST_P(Windows, EverySendAndReceiptLandsInAPaperWindow) {
   const graph::Vertex n = tree.vertex_count();
   const auto schedule = concurrent_updown(instance);
 
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       const graph::Vertex v = tx.sender;
       const std::size_t i = labels.label(v);
       const std::size_t j = labels.subtree_end(v);
@@ -118,8 +119,9 @@ TEST_P(Windows, RootReceivesSequentially) {
   const auto schedule = concurrent_updown(instance);
   const graph::Vertex root = tree.root();
   std::vector<std::size_t> arrival(instance.vertex_count(), 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == root) arrival[tx.message] = t + 1;
       }
@@ -138,8 +140,9 @@ TEST_P(Windows, EveryVertexLastReceiptIsMessageZeroAtNPlusK) {
   const graph::Vertex n = instance.vertex_count();
   const auto schedule = concurrent_updown(instance);
   std::vector<std::size_t> zero_arrival(n, 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       if (tx.message != 0) continue;
       for (graph::Vertex r : schedule.receivers(tx)) zero_arrival[r] = t + 1;
     }

@@ -438,8 +438,8 @@ TEST(RecoveryProperty, DeadProcessorsAreExcludedFromRepairs) {
   for (graph::Vertex v = 0; v < 6; ++v) holds.set(v, v);
   const std::vector<char> alive = {1, 1, 1, 0, 1, 1};
   const auto schedule = partial_completion_schedule(g, holds, alive);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    for (const auto& tx : round.txs()) {
       EXPECT_NE(tx.sender, 3u);
       const auto receivers = schedule.receivers(tx);
       EXPECT_EQ(std::find(receivers.begin(), receivers.end(), graph::Vertex{3}),

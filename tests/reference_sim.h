@@ -17,6 +17,7 @@
 #include "fault/fault.h"
 #include "graph/graph.h"
 #include "model/schedule.h"
+#include "reference_schedule.h"
 #include "sim/network_sim.h"
 #include "support/bitset.h"
 
@@ -70,6 +71,7 @@ inline sim::SimResult reference_simulate_from_holds(
       0);
 
   const std::size_t rounds = schedule.round_count();
+  const std::vector<std::vector<model::Tx>> round_txs = rounds_of(schedule);
   const std::size_t horizon =
       rounds + (plan != nullptr ? plan->max_extra_delay() : 0);
 
@@ -101,7 +103,7 @@ inline sim::SimResult reference_simulate_from_holds(
       // Channel pre-pass: who actually transmits this round (the same
       // crash/drop/hold verdicts as the delivery loop below — all pure
       // queries) and how many transmissions each receiver hears.
-      for (const model::Tx& tx : schedule.round(t)) {
+      for (const model::Tx& tx : round_txs[t]) {
         if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
         if (plan != nullptr && plan->drops(abs_t, tx.sender)) continue;
         if (!hold[tx.sender].test(tx.message)) continue;
@@ -115,7 +117,7 @@ inline sim::SimResult reference_simulate_from_holds(
         }
       }
     }
-    for (const model::Tx& tx : schedule.round(t)) {
+    for (const model::Tx& tx : round_txs[t]) {
       const auto receivers = schedule.receivers(tx);
       const Vertex first_receiver =
           receivers.empty() ? tx.sender : receivers.front();

@@ -16,6 +16,7 @@
 #include "model/comm_model.h"
 #include "model/schedule.h"
 #include "model/validator.h"
+#include "reference_schedule.h"
 
 namespace mg::test {
 
@@ -71,8 +72,9 @@ inline model::ValidationReport reference_validate_schedule_general(
   // straight from the schedule.  Under a collision model a delivery lands
   // only if the receiver was not itself transmitting (half-duplex) and
   // heard exactly one transmission.
+  const std::vector<std::vector<Tx>> rounds = rounds_of(schedule);
   const auto deliver = [&](std::size_t sent) {
-    for (const Tx& tx : schedule.round(sent)) {
+    for (const Tx& tx : rounds[sent]) {
       for (const graph::Vertex r : schedule.receivers(tx)) {
         if (collisions && (sender_seen[r] == sent || incoming[r] >= 2)) {
           ++report.collided;
@@ -92,7 +94,7 @@ inline model::ValidationReport reference_validate_schedule_general(
       for (graph::Vertex v = 0; v < n; ++v) incoming[v] = 0;
     }
 
-    for (const Tx& tx : schedule.round(t)) {
+    for (const Tx& tx : rounds[t]) {
       const auto receivers = schedule.receivers(tx);
       if (tx.sender >= n) {
         report.error = "sender index out of range at " + describe(tx, t);

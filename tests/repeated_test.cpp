@@ -75,8 +75,8 @@ TEST(Repeated, MessageIdsPartitionPerCopy) {
   const auto instance = Instance::from_network(graph::path(5));
   const auto result = repeated_gossip(instance, 3, true);
   std::vector<char> seen(result.message_count, 0);
-  for (std::size_t t = 0; t < result.schedule.round_count(); ++t) {
-    for (const auto& tx : result.schedule.round(t)) {
+  for (model::RoundCursor round(result.schedule); round.next();) {
+    for (const auto& tx : round.txs()) {
       ASSERT_LT(tx.message, result.message_count);
       seen[tx.message] = 1;
     }

@@ -70,10 +70,10 @@ namespace {
 
 /// Folds the canonical form of `schedule` into `fp`.
 void fold(Fingerprint64& fp, const model::Schedule& schedule) {
-  const std::size_t rounds = schedule.total_time();
-  fp.update(rounds);
-  for (std::size_t t = 0; t < rounds; ++t) {
-    const std::vector<model::Tx> round = model::canonical_round(schedule, t);
+  fp.update(schedule.total_time());
+  for (model::RoundCursor cursor(schedule); cursor.next();) {
+    const std::vector<model::Tx> round =
+        model::canonical_round(schedule, cursor.txs());
     fp.update(round.size());
     for (const model::Tx& tx : round) {
       fp.update(tx.sender);
@@ -90,11 +90,11 @@ void fold(Fingerprint64& fp, const model::Schedule& schedule) {
 /// arrays byte for byte, which the radio/beep legalizer reads.
 void expect_sender_ordered(const model::Schedule& schedule,
                            const std::string& name) {
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    const auto round = schedule.round(t);
+  for (model::RoundCursor cursor(schedule); cursor.next();) {
+    const auto round = cursor.txs();
     for (std::size_t i = 1; i < round.size(); ++i) {
       ASSERT_LT(round[i - 1].sender, round[i].sender)
-          << name << " round " << t << " tuple " << i;
+          << name << " round " << cursor.index() << " tuple " << i;
     }
   }
 }
@@ -103,8 +103,8 @@ void expect_sender_ordered(const model::Schedule& schedule,
 /// round_count(), tuples exactly as stored.
 void fold_stored(Fingerprint64& fp, const model::Schedule& schedule) {
   fp.update(schedule.round_count());
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    const auto round = schedule.round(t);
+  for (model::RoundCursor cursor(schedule); cursor.next();) {
+    const auto round = cursor.txs();
     fp.update(round.size());
     for (const model::Tx& tx : round) {
       fp.update(tx.sender);

@@ -26,8 +26,9 @@ TEST(Simple, RootReceivesMessageMAtTimeM) {
   const auto schedule = simple_gossip(instance);
   const auto root = instance.tree().root();
   std::vector<std::size_t> arrival(16, 0);
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
+  for (model::RoundCursor round(schedule); round.next();) {
+    const std::size_t t = round.index();
+    for (const auto& tx : round.txs()) {
       for (graph::Vertex r : schedule.receivers(tx)) {
         if (r == root && arrival[tx.message] == 0) {
           arrival[tx.message] = t + 1;
@@ -44,7 +45,8 @@ TEST(Simple, DownPhaseStartsAtNMinusTwo) {
   const auto schedule = simple_gossip(instance);
   const auto root = instance.tree().root();
   bool found = false;
-  for (const auto& tx : schedule.round(14)) {  // n - 2 == 14
+  const auto rounds = test::rounds_of(schedule);
+  for (const auto& tx : rounds.at(14)) {  // n - 2 == 14
     if (tx.sender == root && tx.message == 0) {
       found = true;
       EXPECT_EQ(tx.count, instance.tree().children(root).size());
@@ -115,8 +117,9 @@ TEST(Simple, RedundantFinalSlotTrimsAway) {
   const auto initial = instance.initial();
   BitMatrix holds(n, n);
   for (graph::Vertex v = 0; v < n; ++v) holds.set(v, initial[v]);
+  const auto rounds = test::rounds_of(schedule);
   for (std::size_t t = 0; t + 1 < makespan; ++t) {
-    for (const auto& tx : schedule.round(t)) {
+    for (const auto& tx : rounds[t]) {
       for (const graph::Vertex r : schedule.receivers(tx)) {
         holds.set(r, tx.message);
       }
@@ -124,25 +127,21 @@ TEST(Simple, RedundantFinalSlotTrimsAway) {
   }
 
   // The pinned finding: the whole final round is redundant.
-  for (const auto& tx : schedule.round(makespan - 1)) {
+  for (const auto& tx : rounds[makespan - 1]) {
     for (const graph::Vertex r : schedule.receivers(tx)) {
       EXPECT_TRUE(holds.test(r, tx.message))
           << "final slot delivers something new; pin is stale";
     }
   }
 
-  // Rebuild without it, padded back to `makespan` rounds; trim() must
-  // remove the emptied trailing round.
+  // Rebuild without it: one round shorter, and still valid.
   model::ScheduleBuilder builder;
   for (std::size_t t = 0; t + 1 < makespan; ++t) {
-    for (const auto& tx : schedule.round(t)) {
+    for (const auto& tx : rounds[t]) {
       builder.add(t, tx.message, tx.sender, schedule.receivers(tx));
     }
   }
-  model::Schedule trimmed = builder.build();
-  trimmed.append(model::Schedule{}, makespan);
-  EXPECT_EQ(trimmed.round_count(), makespan);
-  trimmed.trim();
+  const model::Schedule trimmed = builder.build();
   EXPECT_EQ(trimmed.round_count(), makespan - 1);
   EXPECT_LT(trimmed.total_time(), makespan);
   EXPECT_LE(trimmed.total_time(), simple_total_time(n, instance.radius()));

@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "model/validator.h"
+#include "reference_schedule.h"
 #include "support/rng.h"
 
 namespace mg::test {
@@ -88,11 +89,12 @@ inline model::ValidationReport expect_valid_gossip(
 inline std::size_t expect_same_stored(const model::Schedule& expected,
                                       const model::Schedule& actual) {
   EXPECT_EQ(expected.round_count(), actual.round_count());
-  const std::size_t rounds =
-      std::min(expected.round_count(), actual.round_count());
-  for (std::size_t t = 0; t < rounds; ++t) {
-    const auto a = expected.round(t);
-    const auto b = actual.round(t);
+  std::size_t rounds = 0;
+  for (model::RoundCursor ea(expected), eb(actual); ea.next() && eb.next();
+       ++rounds) {
+    const std::size_t t = ea.index();
+    const auto a = ea.txs();
+    const auto b = eb.txs();
     EXPECT_EQ(a.size(), b.size()) << "round " << t;
     for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
       const auto ra = expected.receivers(a[i]);

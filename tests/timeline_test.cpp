@@ -14,6 +14,7 @@
 #include "gossip/timeline.h"
 #include "graph/generators.h"
 #include "graph/named.h"
+#include "reference_schedule.h"
 #include "sim/network_sim.h"
 #include "support/json_read.h"
 
@@ -91,7 +92,8 @@ TEST(Timeline, InjectedDropIsAttributedToItsRound) {
   ASSERT_TRUE(sol.report.ok);
 
   // Find a transmission to kill: round 1's first sender.
-  const auto& round1 = sol.schedule.round(1);
+  const auto rounds = test::rounds_of(sol.schedule);
+  const auto& round1 = rounds.at(1);
   ASSERT_FALSE(round1.empty());
   const Vertex victim = round1.front().sender;
 

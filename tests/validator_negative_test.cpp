@@ -5,6 +5,7 @@
 // misattributing errors) is caught, not just the happy path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "gossip/solve.h"
@@ -46,8 +47,9 @@ struct Fixture {
 template <typename Edit>
 Schedule rewrite(const Schedule& s, Edit&& edit) {
   model::ScheduleBuilder out;
-  for (std::size_t t = 0; t < s.round_count(); ++t) {
-    for (const model::Tx& tx : s.round(t)) {
+  for (model::RoundCursor round(s); round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       Transmission copy = test::transmission_of(s, tx);
       edit(t, copy);
       out.add(t, copy);
@@ -56,19 +58,24 @@ Schedule rewrite(const Schedule& s, Edit&& edit) {
   return out.build();
 }
 
-/// A schedule of the single tuple `tx` at time `t`.
-Schedule one_tuple(std::size_t t, const Transmission& tx) {
+/// `s` with `tx` added at time `t`, after that round's own tuples.
+Schedule with_tuple(const Schedule& s, std::size_t t, const Transmission& tx) {
   model::ScheduleBuilder builder;
+  for (model::RoundCursor round(s); round.next();) {
+    for (const model::Tx& x : round.txs()) {
+      builder.add(round.index(), test::transmission_of(s, x));
+    }
+  }
   builder.add(t, tx);
   return builder.build();
 }
 
 /// True when `v` sends some message in round `t` of `s`.
 bool sends_in_round(const Schedule& s, std::size_t t, graph::Vertex v) {
-  for (const model::Tx& tx : s.round(t)) {
-    if (tx.sender == v) return true;
-  }
-  return false;
+  const auto rounds = test::rounds_of(s);
+  return t < rounds.size() &&
+         std::any_of(rounds[t].begin(), rounds[t].end(),
+                     [&](const model::Tx& tx) { return tx.sender == v; });
 }
 
 TEST(ValidatorNegative, DuplicateReceiverInOneRound) {
@@ -79,16 +86,16 @@ TEST(ValidatorNegative, DuplicateReceiverInOneRound) {
   // twice that round.  w always holds its origin message, and stays
   // adjacent, so no earlier rule can fire instead.
   bool corrupted = false;
-  for (std::size_t t = 0; t < f.sol.schedule.round_count() && !corrupted;
-       ++t) {
-    for (const model::Tx& tx : f.sol.schedule.round(t)) {
+  for (model::RoundCursor round(f.sol.schedule); !corrupted && round.next();) {
+    const std::size_t t = round.index();
+    for (const model::Tx& tx : round.txs()) {
       for (const graph::Vertex x : f.sol.schedule.receivers(tx)) {
         for (const graph::Vertex w : f.tree.neighbors(x)) {
           if (w == tx.sender || sends_in_round(f.sol.schedule, t, w)) {
             continue;
           }
-          Schedule bad = f.sol.schedule;
-          bad.append(one_tuple(t, {f.initial[w], w, {x}}), 0);
+          const Schedule bad =
+              with_tuple(f.sol.schedule, t, {f.initial[w], w, {x}});
           const auto report = f.validate(bad);
           EXPECT_FALSE(report.ok);
           EXPECT_NE(report.error.find("receives two messages in one round"),
@@ -144,8 +151,8 @@ TEST(ValidatorNegative, SendBeforeHold) {
   const model::Message foreign =
       f.initial[w == 0 ? 1 : 0];  // a message w does not hold at time 0
   ASSERT_NE(foreign, f.initial[w]);
-  Schedule bad = f.sol.schedule;
-  bad.append(one_tuple(0, {foreign, w, {f.tree.neighbors(w).front()}}), 0);
+  const Schedule bad = with_tuple(
+      f.sol.schedule, 0, {foreign, w, {f.tree.neighbors(w).front()}});
   const auto report = f.validate(bad);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("sender does not hold the message"),
