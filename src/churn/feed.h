@@ -4,7 +4,7 @@
 // absent, removed only where present and non-bridging (the network the
 // paper gossips on must stay connected), and node removals target leaf
 // vertices.  Legality per prefix means any prefix of a feed is itself a
-// valid feed, which is what the fuzz shrinker (tests/churn_shrinker.h)
+// valid feed, which is what the tests' shrinker (tests/shrinker.h)
 // exploits.
 //
 // Three generator shapes, mirroring the dynamic-network literature the

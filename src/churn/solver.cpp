@@ -10,15 +10,12 @@ namespace mg::churn {
 
 ChurnSolver::ChurnSolver(graph::Graph g0, ChurnSolverOptions /*options*/,
                          engine::Engine* engine, ThreadPool* pool)
-    : engine_(engine), graph_(std::move(g0)), tree_(graph_.snapshot(), pool) {
-  resolve();
+    : engine_(engine), pool_(pool), graph_(std::move(g0)) {
+  resolve(tree::min_depth_spanning_tree(graph_.snapshot(), pool_));
 }
 
-void ChurnSolver::resolve() {
-  // The maintained tree is already a minimum-depth spanning tree of the
-  // current topology, so this pays only the schedule construction — never
-  // a second center search.
-  gossip::Instance instance(tree_.tree());
+void ChurnSolver::resolve(tree::RootedTree rooted) {
+  gossip::Instance instance(std::move(rooted));
   schedule_ = gossip::concurrent_updown(instance);
   initial_ = instance.initial();
   ++stats_.resolves;
@@ -36,7 +33,7 @@ ApplyReport ChurnSolver::apply(const ChurnEvent& event) {
       engine_ ? engine::graph_fingerprint(graph_.snapshot()) : 0;
 
   // 1. Mutate.
-  const auto [u, v] = apply_event(graph_, event);
+  (void)apply_event(graph_, event);
   const graph::Graph& g = graph_.snapshot();
 
   if (engine_ != nullptr) {
@@ -44,32 +41,22 @@ ApplyReport ChurnSolver::apply(const ChurnEvent& event) {
     stats_.invalidated += report.invalidated;
   }
 
-  // 3. Incremental tree maintenance.
+  // 3. The §3.1 tree of the mutated graph.
+  tree::RootedTree rebuilt;
   {
     MG_OBS_SCOPE_HIST(retree_hist, "churn.retree_ns");
-    switch (event.kind) {
-      case EventKind::kAddEdge:
-        report.tree_report = tree_.on_edge_added(g, u, v);
-        break;
-      case EventKind::kRemoveEdge:
-        report.tree_report = tree_.on_edge_removed(g, u, v);
-        break;
-      case EventKind::kAddNode:
-      case EventKind::kRemoveNode:
-        report.tree_report = tree_.on_node_event(g);
-        break;
-    }
+    rebuilt = tree::min_depth_spanning_tree(g, pool_);
   }
+  report.fresh_bound =
+      static_cast<std::size_t>(g.vertex_count()) + rebuilt.height();
 
-  // 4. Reschedule on the maintained tree.  perfbench reads this histogram
-  // as `churn.reschedule_ms`.
+  // 4. Reschedule on it.  perfbench reads this histogram as
+  // `churn.reschedule_ms`.
   {
     MG_OBS_SCOPE_HIST(reschedule_hist, "churn.patch_ns");
-    resolve();
+    resolve(std::move(rebuilt));
   }
   report.resolved = true;
-  report.fresh_bound =
-      static_cast<std::size_t>(g.vertex_count()) + tree_.radius();
   report.schedule_time = schedule_.total_time();
 
   ++stats_.events;

@@ -7,16 +7,14 @@
 //   2. *invalidate* — evict exactly the pre-mutation fingerprint from the
 //      attached `engine::Engine` (fingerprint-delta invalidation: one
 //      entry, not the cache);
-//   3. *retree*     — incremental `IncrementalTree` maintenance (noop /
-//      parent patch / subtree repair / recenter / full rebuild, see
-//      tree/incremental.h);
-//   4. *reschedule* — ConcurrentUpDown on the maintained tree.  That tree
-//      is already a minimum-depth spanning tree of the mutated graph, so
-//      the step pays for synthesis alone (no second center search), and
-//      Theorem 1 makes every schedule exactly n + r.
+//   3. *retree*     — `tree::min_depth_spanning_tree` of the mutated graph
+//      (§3.1: a center by BFS sweeps, then one rooting BFS);
+//   4. *reschedule* — ConcurrentUpDown on that tree.  Theorem 1 makes every
+//      schedule exactly n + r, and it is the schedule a from-scratch
+//      `gossip::solve_gossip` of the mutated graph stores.
 // Every decision is mirrored into `churn.*` obs counters; the differential
-// battery replays feeds through this class and checks each event's tree and
-// schedule against the from-scratch pipeline.
+// battery replays feeds through this class and checks each event's schedule
+// against the from-scratch pipeline.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +24,7 @@
 #include "graph/dynamic.h"
 #include "model/schedule.h"
 #include "tree/incremental.h"
+#include "tree/spanning_tree.h"
 
 namespace mg::churn {
 
@@ -40,7 +39,7 @@ struct ChurnSolverOptions {
 /// What `apply` did for one event.
 struct ApplyReport {
   ChurnEvent event;
-  tree::MaintenanceReport tree_report;
+  tree::MaintenanceReport tree_report;  ///< always a full rebuild
   bool patched = false;   ///< always false: no event splices a repair
   bool resolved = false;  ///< always true: every event re-synthesizes
   std::size_t invalidated = 0;   ///< engine entries evicted
@@ -59,7 +58,7 @@ class ChurnSolver {
   /// Solves gossip on `g0` once (the initial schedule), then stands by for
   /// events.  `options` only carries the checkers' bound.  `engine`
   /// (optional) receives fingerprint-delta invalidations; `pool` (optional)
-  /// accelerates full tree rebuilds.
+  /// runs the tree's BFS sweeps in parallel.
   explicit ChurnSolver(graph::Graph g0, ChurnSolverOptions options = {},
                        engine::Engine* engine = nullptr,
                        ThreadPool* pool = nullptr);
@@ -67,7 +66,6 @@ class ChurnSolver {
   ApplyReport apply(const ChurnEvent& event);
 
   [[nodiscard]] const graph::DynamicGraph& graph() const { return graph_; }
-  [[nodiscard]] const tree::IncrementalTree& tree() const { return tree_; }
   [[nodiscard]] const model::Schedule& schedule() const { return schedule_; }
   /// Initial hold assignment matching `schedule()`'s message ids.
   [[nodiscard]] const std::vector<model::Message>& initial() const {
@@ -76,11 +74,11 @@ class ChurnSolver {
   [[nodiscard]] const ChurnSolverStats& stats() const { return stats_; }
 
  private:
-  void resolve();  ///< ConcurrentUpDown on the maintained tree
+  void resolve(tree::RootedTree rooted);  ///< ConcurrentUpDown on `rooted`
 
   engine::Engine* engine_ = nullptr;
+  ThreadPool* pool_ = nullptr;
   graph::DynamicGraph graph_;
-  tree::IncrementalTree tree_;
   model::Schedule schedule_;
   std::vector<model::Message> initial_;
   ChurnSolverStats stats_;

@@ -136,10 +136,15 @@ void ScheduleBuilder::add_run(std::size_t t0, std::size_t len, Message m0,
   MG_EXPECTS_MSG(items_.size() < kMaxIndex &&
                      receivers.size() <= kMaxIndex - receivers_.size(),
                  "schedule exceeds 32-bit offsets");
-  by_sender_ = by_sender_ &&
-               (items_.empty() || items_.back().sender < sender ||
-                (items_.back().sender == sender &&
-                 std::uint64_t{items_.back().t0} + items_.back().len <= t0));
+  const bool in_order =
+      by_sender_ &&
+      (items_.empty() || items_.back().sender < sender ||
+       (items_.back().sender == sender &&
+        std::uint64_t{items_.back().t0} + items_.back().len <= t0));
+  MG_EXPECTS_MSG(in_order || (len == 1 && !runs_),
+                 "runs must be added sender by sender");
+  by_sender_ = in_order;
+  runs_ = runs_ || len > 1;
   items_.push_back({static_cast<std::uint32_t>(t0),
                     static_cast<std::uint32_t>(len), m0, sender,
                     static_cast<std::uint32_t>(receivers_.size()),
@@ -220,37 +225,16 @@ void ScheduleBuilder::store_by_sender(Schedule& out) {
 }
 
 void ScheduleBuilder::store_by_round(Schedule& out) const {
-  // Every tuple on its own, by round, keeping insertion order inside a
-  // round: each round's tuples in stored order.  (Only `add_run` calls that
-  // did not come sender by sender leave a run to expand.)  At worst every
-  // tuple is stored as a run with its own receivers, and that must fit the
-  // 32-bit indices before anything is allocated.
-  std::uint64_t tuples = 0;
-  std::uint64_t entries = 0;
-  for (const Item& item : items_) {
-    tuples += item.len;
-    entries += std::uint64_t{item.len} * item.count;
-  }
-  MG_EXPECTS_MSG(tuples <= kMaxIndex && entries <= kMaxIndex,
-                 "schedule exceeds 32-bit offsets");
-  std::vector<Item> expanded;
-  if (tuples > items_.size()) {
-    expanded.reserve(tuples);
-    for (const Item& item : items_) {
-      for (std::uint32_t k = 0; k < item.len; ++k) {
-        expanded.push_back({item.t0 + k, 1, item.m0 + k, item.sender,
-                            item.first, item.count});
-      }
-    }
-  }
-  const std::vector<Item>& added = expanded.empty() ? items_ : expanded;
-  const std::vector<std::uint32_t> order = by_start(added);
+  // Every item is a tuple (`add_run` admits a longer run only sender by
+  // sender).  Each on its own, by round, keeping insertion order inside a
+  // round: each round's tuples in stored order.
+  const std::vector<std::uint32_t> order = by_start(items_);
   const auto tuple = [&](std::size_t i) -> const Item& {
-    return added[order.empty() ? i : order[i]];
+    return items_[order.empty() ? i : order[i]];
   };
   // Room for a run per tuple, given back below if most of it stayed unused.
-  out.runs_.reserve(added.size());
-  out.receivers_.reserve(entries);
+  out.runs_.reserve(items_.size());
+  out.receivers_.reserve(receivers_.size());
   // A tuple continues the run of the previous round's tuple from the same
   // sender when both rounds ascend; both rounds are then sender-sorted, so
   // one forward scan of the previous round finds it.
@@ -259,11 +243,11 @@ void ScheduleBuilder::store_by_round(Schedule& out) const {
   std::size_t prev_begin = 0;
   std::size_t prev_end = 0;
   bool prev_ascends = false;
-  for (std::size_t b = 0; b < added.size();) {
+  for (std::size_t b = 0; b < items_.size();) {
     const std::uint32_t t = tuple(b).t0;
     std::size_t e = b + 1;
     bool ascends = true;
-    for (; e < added.size() && tuple(e).t0 == t; ++e) {
+    for (; e < items_.size() && tuple(e).t0 == t; ++e) {
       ascends = ascends && tuple(e - 1).sender < tuple(e).sender;
     }
     const bool after =

@@ -206,16 +206,19 @@ class RoundCursor {
 
 /// The only way to make a non-empty `Schedule`.
 ///
-/// `add` tuples or `add_run` runs in any order, then `build()`.  Rounds come
-/// out in order, and tuples keep their insertion order inside a round.  A
-/// run stores exactly what its tuples added one by one would store.
+/// `add` tuples in any order, or `add_run` runs sender by sender (senders
+/// rising, each sender's adds in round order without overlap), then
+/// `build()`.  Rounds come out in order, and tuples keep their insertion
+/// order inside a round.  A run stores exactly what its tuples added one by
+/// one would store.
 ///
 /// Every add enforces the tuple contract: D is non-empty, sorted and
 /// duplicate-free, round indices stay below 2^32 - 1, message ids fit 32
-/// bits, and the adds so far fit 32-bit run and receiver indices.  Adds that
-/// did not come sender by sender are stored from their tuples, so `build()`
-/// first checks that those tuples, each a run with its own receivers, would
-/// fit the same indices.  `build()` leaves the builder empty for reuse.
+/// bits, and the adds so far fit 32-bit run and receiver indices, which
+/// then bound everything stored.  A run of more than one round that breaks
+/// sender-by-sender order fails its contract, and so does any add out of
+/// that order after such a run.  `build()` leaves the builder empty for
+/// reuse.
 class ScheduleBuilder {
  public:
   /// Adds (message, sender, receivers) sent at time `t`.
@@ -234,7 +237,8 @@ class ScheduleBuilder {
 
   /// Adds the run: `sender` sends m0 + k to `receivers` at time t0 + k, for
   /// every k < len.  The same as adding those `len` tuples one by one, in
-  /// round order.
+  /// round order.  Precondition, when len > 1: the adds so far, this one
+  /// included, came sender by sender.
   void add_run(std::size_t t0, std::size_t len, Message m0, Vertex sender,
                std::span<const Vertex> receivers);
 
@@ -273,13 +277,13 @@ class ScheduleBuilder {
   /// without overlap: O(runs), no tuple visited.
   void store_by_sender(Schedule& out);
 
-  /// Stores the adds from their tuples round by round: any insertion
-  /// order, at O(tuples).
+  /// Stores tuples added in any insertion order, round by round.
   void store_by_round(Schedule& out) const;
 
   std::vector<Item> items_;  // insertion order
   std::vector<Vertex> receivers_;
   bool by_sender_ = true;  // the adds so far came sender by sender
+  bool runs_ = false;      // some add spans more than one round
 };
 
 /// The tuples of one round (a `RoundCursor::txs()` of `schedule`) sorted by

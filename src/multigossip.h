@@ -25,10 +25,9 @@
 //   engine/   concurrent batch solver: sharded LRU schedule cache keyed by
 //             graph fingerprint, single-flight miss coalescing,
 //             fingerprint-delta invalidation
-//   churn/    dynamic topology: seeded churn feeds, the mutable CSR
-//             overlay, incremental spanning-tree maintenance, and the
-//             online churn solver that re-synthesizes on the maintained
-//             tree after every event
+//   churn/    dynamic topology: seeded churn feeds, the mutable graph,
+//             and the online churn solver that rebuilds the spanning tree
+//             and re-synthesizes after every event
 //   mmc/      the multimessage-multicasting generalization
 //   sim/      round-based execution, traces, fault injection, randomized
 //             rumor spreading

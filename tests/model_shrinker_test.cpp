@@ -1,5 +1,5 @@
-// Exercises the model-trace shrinker (model_shrinker.h) and pins shrunk
-// regressions:
+// Exercises the shrinker (shrinker.h) on schedules, as the sequence of
+// their transmissions, and pins shrunk regressions:
 //
 //  * fuzz sweep — seeded scheduler × model combinations whose legalized
 //    schedules must all satisfy their model validator; any failure is
@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gossip/solve.h"
@@ -21,8 +23,8 @@
 #include "model/comm_model.h"
 #include "model/legalize.h"
 #include "model/validator.h"
-#include "model_shrinker.h"
 #include "reference_schedule.h"
+#include "shrinker.h"
 #include "support/rng.h"
 
 namespace mg {
@@ -42,17 +44,63 @@ graph::Graph make_graph(std::uint64_t seed) {
   }
 }
 
-/// Rejection by the model validator (legality only, not completion), with
-/// the initial assignment the schedule was built for.
-test::ScheduleFailurePredicate rejected_by(
-    const model::CommModel& m, std::vector<model::Message> initial) {
-  return [&m, initial = std::move(initial)](
-             const graph::Graph& g, const model::Schedule& schedule) {
+/// One transmission and its round: what the shrinker reduces a schedule
+/// to.  Failures are prefix-monotone in (round, stored) order, because the
+/// validator rejects at the first offending transmission.
+using Sent = std::pair<std::size_t, model::Transmission>;
+
+std::vector<Sent> sends_of(const model::Schedule& schedule) {
+  std::vector<Sent> sends;
+  const auto rounds = test::transmissions_of(schedule);
+  for (std::size_t t = 0; t < rounds.size(); ++t) {
+    for (const model::Transmission& tx : rounds[t]) sends.emplace_back(t, tx);
+  }
+  return sends;
+}
+
+model::Schedule schedule_of(const std::vector<Sent>& sends) {
+  model::ScheduleBuilder builder;
+  for (const auto& [t, tx] : sends) builder.add(t, tx);
+  return builder.build();
+}
+
+/// Rejection of the sends on `g` by the model validator (legality only, not
+/// completion), with the initial assignment the schedule was built for.
+auto rejected_by(const graph::Graph& g, const model::CommModel& m,
+                 std::vector<model::Message> initial) {
+  return [&g, &m, initial = std::move(initial)](
+             const std::vector<Sent>& sends) {
     model::ValidatorOptions options;
     options.model = &m;
     options.require_completion = false;
-    return !model::validate_schedule(g, schedule, initial, options).ok;
+    return !model::validate_schedule(g, schedule_of(sends), initial, options)
+                .ok;
   };
+}
+
+/// Renders a shrunk schedule as a paste-able C++ regression case.
+std::string regression_snippet(const test::Shrunk<Sent>& shrunk,
+                               const model::Schedule& original,
+                               const std::string& graph_expr) {
+  const model::Schedule schedule = schedule_of(shrunk.items);
+  std::ostringstream out;
+  out << "// shrunk model regression: " << schedule.transmission_count()
+      << " of " << shrunk.original_size << " transmissions, "
+      << schedule.round_count() << " of " << original.round_count()
+      << " rounds\n";
+  out << "const graph::Graph g = " << graph_expr << ";\n";
+  out << "model::ScheduleBuilder builder;\n";
+  for (const auto& [t, tx] : shrunk.items) {
+    out << "builder.add(" << t << ", {" << tx.message << ", " << tx.sender
+        << ", {";
+    for (std::size_t i = 0; i < tx.receivers.size(); ++i) {
+      if (i > 0) out << ", ";
+      out << tx.receivers[i];
+    }
+    out << "}});\n";
+  }
+  out << "const model::Schedule schedule = builder.build();\n";
+  return out.str();
 }
 
 // Every legalized schedule must satisfy its model validator; a failure is
@@ -76,12 +124,13 @@ TEST(ModelShrinker, FuzzLegalizedSchedulesValidate) {
       const auto report = model::validate_schedule(
           tree, adapted.schedule, sol.instance.initial(), options);
       if (!report.ok) {
-        const auto shrunk = test::shrink_schedule(
-            tree, adapted.schedule, rejected_by(*m, sol.instance.initial()));
+        const auto shrunk =
+            test::shrink(sends_of(adapted.schedule),
+                         rejected_by(tree, *m, sol.instance.initial()));
         std::fprintf(stderr, "%s\n",
-                     test::regression_snippet(shrunk, "<tree of seed " +
-                                                          std::to_string(seed) +
-                                                          ">")
+                     regression_snippet(shrunk, adapted.schedule,
+                                        "<tree of seed " +
+                                            std::to_string(seed) + ">")
                          .c_str());
       }
       EXPECT_TRUE(report.ok) << report.error;
@@ -128,23 +177,22 @@ TEST(ModelShrinker, ShrinksCorruptedScheduleToOffender) {
   const model::Schedule corrupted = builder.build();
 
   const std::vector<model::Message> initial = sol.instance.initial();
-  const test::ScheduleFailurePredicate neighborhood_error =
-      [&initial](const graph::Graph& network,
-                 const model::Schedule& schedule) {
-        model::ValidatorOptions options;
-        options.model = &model::radio_model();
-        options.require_completion = false;
-        const auto report =
-            model::validate_schedule(network, schedule, initial, options);
-        return !report.ok &&
-               report.error.find("entire neighborhood") != std::string::npos;
-      };
-  const auto shrunk =
-      test::shrink_schedule(tree, corrupted, neighborhood_error);
+  const auto neighborhood_error = [&tree,
+                                   &initial](const std::vector<Sent>& sends) {
+    model::ValidatorOptions options;
+    options.model = &model::radio_model();
+    options.require_completion = false;
+    const auto report = model::validate_schedule(tree, schedule_of(sends),
+                                                 initial, options);
+    return !report.ok &&
+           report.error.find("entire neighborhood") != std::string::npos;
+  };
+  const auto shrunk = test::shrink(sends_of(corrupted), neighborhood_error);
   ASSERT_TRUE(shrunk.reproduced);
-  EXPECT_EQ(shrunk.schedule.round_count(), 1u);
-  ASSERT_EQ(shrunk.schedule.transmission_count(), 1u);
-  const model::Tx survivor = test::rounds_of(shrunk.schedule).at(0).front();
+  const model::Schedule minimal = schedule_of(shrunk.items);
+  EXPECT_EQ(minimal.round_count(), 1u);
+  ASSERT_EQ(minimal.transmission_count(), 1u);
+  const model::Tx survivor = test::rounds_of(minimal).at(0).front();
   EXPECT_EQ(survivor.message, offender_message);
   EXPECT_EQ(survivor.sender, offender_sender);
   EXPECT_EQ(survivor.count, 1u);

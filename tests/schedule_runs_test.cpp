@@ -1,12 +1,13 @@
 // The run battery.  A schedule stores runs, and `model::RoundCursor` must
 // give back every round exactly as the add sequence put it: the stored-order
 // oracle in reference_schedule.h, a plain vector of rounds filled by the
-// same adds.  Covered: random tuple and run sequences added in round order,
-// shuffled and sender by sender, with duplicate senders, descending rounds
-// and empty inner rounds; runs cut by a round that does not ascend; the
-// 64-bit counts; and a round trip through the builder of every producer's
-// output (the golden corpus's algorithms, the repair planners, the
-// legalizer and the dist capture).
+// same adds.  Covered: random tuple sequences added in round order and
+// shuffled, and run sequences sender by sender, with duplicate senders,
+// descending rounds and empty inner rounds; runs cut by a round that does
+// not ascend; the add-time contracts, run order included; the 64-bit
+// counts; and a round trip through the builder of every producer's output
+// (the golden corpus's algorithms, the repair planners, the legalizer and
+// the dist capture).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,9 +83,16 @@ void expect_matches(const Schedule& s, const test::ReferenceSchedule& oracle,
   EXPECT_EQ(s.is_telephone(), oracle.is_telephone()) << what;
 }
 
-/// Adds as runs store exactly what their tuples added one by one store,
-/// and both read back as the oracle.
+/// The adds' tuples, added one by one in any order, read back as the
+/// oracle.
 void expect_battery(const std::vector<Add>& adds, const std::string& what) {
+  expect_matches(build(adds, true), oracle_of(adds), what);
+}
+
+/// Adds that came sender by sender, as runs, store exactly what their tuples
+/// added one by one store, and both read back as the oracle.
+void expect_run_battery(const std::vector<Add>& adds,
+                        const std::string& what) {
   const Schedule runs = build(adds, false);
   const Schedule tuples = build(adds, true);
   EXPECT_TRUE(runs == tuples) << what;
@@ -173,7 +181,7 @@ TEST(ScheduleRuns, SenderBySenderSequencesMatchTheOracle) {
       }
     }
     const std::string what = "trial " + std::to_string(trial);
-    expect_battery(adds, what);
+    expect_run_battery(adds, what);
     // Their tuples in round order take the other way through the builder
     // and, every round ascending either way, store the same arrays.
     std::vector<Add> tuples;
@@ -200,7 +208,7 @@ TEST(ScheduleRuns, RunCutByARoundThatDoesNotAscend) {
                                  {3, 1, {0, 4, {5}}},
                                  {0, 6, {20, 8, {3}}}};
   expect_battery(adds, "descending round 3");
-  const Schedule s = build(adds, false);
+  const Schedule s = build(adds, true);
   EXPECT_EQ(s.run_count(), 8u);  // 2 runs, each cut in 3, plus 2 tuples
   const auto rounds = test::rounds_of(s);
   ASSERT_EQ(rounds.size(), 6u);
@@ -215,8 +223,8 @@ TEST(ScheduleRuns, RunCutByARoundThatDoesNotAscend) {
   expect_battery({{0, 5, {0, 2, {1}}}, {2, 1, {9, 2, {3}}}},
                  "duplicate sender in round 2");
   // An empty round between two runs that would continue keeps them apart.
-  expect_battery({{0, 2, {0, 2, {1}}}, {3, 2, {3, 2, {1}}}},
-                 "gap at round 2");
+  expect_run_battery({{0, 2, {0, 2, {1}}}, {3, 2, {3, 2, {1}}}},
+                     "gap at round 2");
 }
 
 TEST(ScheduleRuns, FewTuplesOverManyRounds) {
@@ -287,15 +295,18 @@ TEST(ScheduleRuns, AddRunContracts) {
   EXPECT_EQ(s.transmission_count(), 0xffffffffULL);
 }
 
-TEST(ScheduleRuns, TuplesPastThirtyTwoBitsFailBeforeExpanding) {
-  // Runs that did not come sender by sender are stored from their tuples.
-  // Each add below fits, but their tuples, or those tuples' receiver entries,
-  // would pass 32-bit indices: `build()` fails before expanding a run.
+TEST(ScheduleRuns, RunsOutOfSenderOrderFailWhenAdded) {
+  // A run of more than one round goes in only sender by sender, and after
+  // one every add must keep that order.  Out of it the add fails before
+  // anything is stored, so no run is ever expanded into its tuples: these
+  // runs' tuples, or their receiver entries, would pass 32-bit indices.
   const std::vector<Vertex> one = {9};
   ScheduleBuilder tuples;
   tuples.add_run(0, std::size_t{1} << 31, 0, 1, one);
-  tuples.add_run(0, std::size_t{1} << 31, 0, 0, one);
-  EXPECT_THROW(static_cast<void>(tuples.build()), ContractViolation);
+  EXPECT_THROW(tuples.add_run(0, std::size_t{1} << 31, 0, 0, one),
+               ContractViolation);
+  EXPECT_THROW(tuples.add(5, 0, 0, one), ContractViolation);
+  EXPECT_EQ(tuples.build().run_count(), 1u);
 
   std::vector<Vertex> wide(std::size_t{1} << 11);
   for (std::size_t i = 0; i < wide.size(); ++i) {
@@ -303,8 +314,17 @@ TEST(ScheduleRuns, TuplesPastThirtyTwoBitsFailBeforeExpanding) {
   }
   ScheduleBuilder entries;
   entries.add_run(0, std::size_t{1} << 21, 0, 1, wide);
-  entries.add_run(0, std::size_t{1} << 21, 0, 0, wide);
-  EXPECT_THROW(static_cast<void>(entries.build()), ContractViolation);
+  EXPECT_THROW(entries.add_run(0, std::size_t{1} << 21, 0, 0, wide),
+               ContractViolation);
+
+  // Tuples go in any order, but a run added after out-of-order tuples
+  // fails.
+  ScheduleBuilder late;
+  late.add(3, 0, 2, one);
+  late.add(1, 0, 1, one);
+  EXPECT_THROW(late.add_run(4, 2, 0, 3, one), ContractViolation);
+  late.add(0, 0, 0, one);
+  EXPECT_EQ(late.build().transmission_count(), 3u);
 
   // The same runs sender by sender are stored as two runs.
   ScheduleBuilder runs;
