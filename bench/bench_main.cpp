@@ -19,9 +19,10 @@
 // --out     output path (default BENCH_gossip.json)
 // --quick   drop the n = 1024 tier (CI-friendly)
 // --sanity  instead of the suite, verify the observability layer's cost
-//           model: a run against the disabled (null) registry must leave
-//           no named metrics behind, and the per-increment overhead of the
-//           disabled path is reported next to the enabled path.
+//           model: every metric record lands when obs is compiled in and
+//           none lands when it is compiled out, a solve with span tracing
+//           off (its default) records no span, and the per-call cost of
+//           each instrument is reported.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -34,10 +35,8 @@
 #include "gossip/updown.h"
 #include "graph/generators.h"
 #include "graph/named.h"
-#include "obs/causal.h"
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "obs/sampler.h"
 #include "obs/span.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
@@ -133,7 +132,6 @@ int run_suite(const std::string& out_path, bool quick) {
   }
 
   obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
 
   obs::JsonWriter w(out);
   w.begin_object();
@@ -201,194 +199,62 @@ int run_suite(const std::string& out_path, bool quick) {
   return 0;
 }
 
-/// Verifies the two off switches described in obs/registry.h.
+/// Verifies the cost model of obs/registry.h and obs/span.h.
 int run_sanity() {
-  obs::Registry& registry = obs::Registry::global();
+  const bool compiled_in = MG_OBS_ENABLED != 0;
 
-  // 1. Null-registry behaviour: a disabled run must register nothing —
-  // counters, timers or histograms — and the span tracer (disabled by
-  // default) must keep zero spans.
-  registry.set_enabled(false);
+  // 1. A solve with span tracing off (its default) records no span.
+  const obs::SpanTracer& tracer = obs::SpanTracer::global();
   const auto sol =
       gossip::solve_gossip(graph::cycle(64), gossip::Algorithm::kSimple);
-  const obs::Snapshot disabled_snap = registry.snapshot();
-  if (!sol.report.ok || !disabled_snap.counters.empty() ||
-      !disabled_snap.timers.empty() || !disabled_snap.histograms.empty()) {
+  if (!sol.report.ok || tracer.enabled() || tracer.recorded() != 0) {
     std::fprintf(stderr,
-                 "sanity FAILED: disabled registry accumulated %zu counters, "
-                 "%zu timers, %zu histograms\n",
-                 disabled_snap.counters.size(), disabled_snap.timers.size(),
-                 disabled_snap.histograms.size());
-    return 1;
-  }
-  const obs::SpanTracer& tracer = obs::SpanTracer::global();
-  if (tracer.enabled() || tracer.recorded() != 0) {
-    std::fprintf(stderr,
-                 "sanity FAILED: disabled span tracer recorded %llu spans\n",
+                 "sanity FAILED: solve ok = %d, span tracer enabled = %d, "
+                 "%llu spans recorded\n",
+                 sol.report.ok ? 1 : 0, tracer.enabled() ? 1 : 0,
                  static_cast<unsigned long long>(tracer.recorded()));
     return 1;
   }
 
-  // 2. Cost model: ns per counter increment, disabled vs enabled.
+  // 2. Cost per call, and every counter increment and histogram record
+  // lands — or, compiled out, none does.
+  const auto per_call_ns = [](std::uint64_t iters, const auto& body) {
+    Stopwatch watch;
+    for (std::uint64_t i = 0; i < iters; ++i) body(i);
+    return watch.seconds() * 1e9 / static_cast<double>(iters);
+  };
   constexpr std::uint64_t kIters = 1'000'000;
-  const auto measure = [&] {
-    Stopwatch watch;
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      MG_OBS_ADD("sanity.increments", 1);
-    }
-    return watch.seconds() * 1e9 / static_cast<double>(kIters);
-  };
-  const double disabled_ns = measure();
-  registry.set_enabled(true);
-  const double enabled_ns = measure();
-  const bool compiled_in = MG_OBS_ENABLED != 0;
+  const double add_ns = per_call_ns(
+      kIters, [](std::uint64_t) { MG_OBS_ADD("sanity.increments", 1); });
+  const double hist_ns =
+      per_call_ns(kIters, []([[maybe_unused]] std::uint64_t i) {
+        MG_OBS_HIST("sanity.hist", i & 0xffff);
+      });
+  const double span_ns = per_call_ns(
+      200'000, [](std::uint64_t) { MG_OBS_SPAN(sanity_span, "sanity.span"); });
   std::printf(
-      "obs sanity: compiled_in=%d  disabled=%.1f ns/inc  enabled=%.1f "
-      "ns/inc\n",
-      compiled_in ? 1 : 0, disabled_ns, enabled_ns);
+      "obs sanity: compiled_in=%d  counter=%.1f ns/inc  histogram=%.1f "
+      "ns/rec  span(tracing off)=%.1f ns\n",
+      compiled_in ? 1 : 0, add_ns, hist_ns, span_ns);
 
-  const std::uint64_t recorded =
-      registry.snapshot().counter("sanity.increments");
-  if (compiled_in && recorded != kIters) {
-    std::fprintf(stderr, "sanity FAILED: enabled run recorded %llu of %llu\n",
-                 static_cast<unsigned long long>(recorded),
-                 static_cast<unsigned long long>(kIters));
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const std::uint64_t expected = compiled_in ? kIters : 0;
+  const std::uint64_t increments = snap.counter("sanity.increments");
+  const std::uint64_t records = snap.histogram("sanity.hist").count;
+  if (increments != expected || records != expected) {
+    std::fprintf(stderr,
+                 "sanity FAILED: %llu increments and %llu histogram records "
+                 "landed, expected %llu of each\n",
+                 static_cast<unsigned long long>(increments),
+                 static_cast<unsigned long long>(records),
+                 static_cast<unsigned long long>(expected));
     return 1;
   }
-
-  // 3. Same cost model for the v2 instruments: histogram record and span.
-  constexpr std::uint64_t kHistIters = 1'000'000;
-  const auto measure_hist = [&] {
-    Stopwatch watch;
-    for (std::uint64_t i = 0; i < kHistIters; ++i) {
-      MG_OBS_HIST("sanity.hist", i & 0xffff);
-    }
-    return watch.seconds() * 1e9 / static_cast<double>(kHistIters);
-  };
-  registry.set_enabled(false);
-  const double hist_disabled_ns = measure_hist();
-  registry.set_enabled(true);
-  const double hist_enabled_ns = measure_hist();
-  if (compiled_in &&
-      registry.snapshot().histogram("sanity.hist").count != kHistIters) {
-    std::fprintf(stderr, "sanity FAILED: histogram lost records\n");
-    return 1;
-  }
-
-  constexpr std::uint64_t kSpanIters = 200'000;
-  const auto measure_span = [&] {
-    Stopwatch watch;
-    for (std::uint64_t i = 0; i < kSpanIters; ++i) {
-      MG_OBS_SPAN(sanity_span, "sanity.span");
-    }
-    return watch.seconds() * 1e9 / static_cast<double>(kSpanIters);
-  };
-  const double span_disabled_ns = measure_span();  // tracer off by default
-  std::printf(
-      "obs sanity: histogram disabled=%.1f ns/rec  enabled=%.1f ns/rec  "
-      "span(tracing off)=%.1f ns\n",
-      hist_disabled_ns, hist_enabled_ns, span_disabled_ns);
   if (tracer.recorded() != 0) {
     std::fprintf(stderr,
                  "sanity FAILED: spans recorded while tracing was off\n");
     return 1;
   }
-
-  // 4. Causal ring: while disabled (the default) a record reduces to one
-  // relaxed load and the ring stays empty; enabled, the same event lands.
-  obs::CausalTracer& causal = obs::CausalTracer::global();
-  if (causal.enabled()) {
-    std::fprintf(stderr, "sanity FAILED: causal tracer enabled by default\n");
-    return 1;
-  }
-  [[maybe_unused]] const obs::CausalTracer::Event probe{
-      1, 0, obs::CausalTracer::kFlowData, 0, 0, 0, 1};
-  MG_OBS_CAUSAL(probe);
-  if (causal.recorded() != 0) {
-    std::fprintf(stderr,
-                 "sanity FAILED: disabled causal ring accepted an event\n");
-    return 1;
-  }
-  if (compiled_in) {
-    causal.set_enabled(true);
-    MG_OBS_CAUSAL(probe);
-    causal.set_enabled(false);
-    if (causal.recorded() != 1) {
-      std::fprintf(stderr,
-                   "sanity FAILED: enabled causal ring recorded %llu of 1\n",
-                   static_cast<unsigned long long>(causal.recorded()));
-      return 1;
-    }
-    causal.clear();
-  }
-
-  // 5. Sampler: runtime-null observes nothing — a disabled registry keeps
-  // earlier names registered (reset() semantics) but every sampled value
-  // and delta must stay zero — and with observability compiled out start()
-  // stays inert.  Steady-state overhead = the hot loop's ns/inc while a
-  // 1 ms sampler runs beside it, next to the sampler-free enabled cost
-  // above — the sampler reads the same relaxed atomics off-thread, so the
-  // delta should be noise (documented in docs/OBSERVABILITY.md).
-  registry.reset();
-  registry.set_enabled(false);
-  {
-    obs::Sampler null_sampler(registry, {std::chrono::milliseconds(1), 16});
-    null_sampler.sample_now();
-    MG_OBS_ADD("sanity.null_sampler", 1);
-    null_sampler.sample_now();
-    for (const obs::Sample& s : null_sampler.series()) {
-      for (const auto& [counter_name, value] : s.snapshot.counters) {
-        if (value != 0) {
-          std::fprintf(stderr,
-                       "sanity FAILED: runtime-null sampler observed %s=%llu\n",
-                       counter_name.c_str(),
-                       static_cast<unsigned long long>(value));
-          return 1;
-        }
-      }
-      for (const auto& [counter_name, delta] : s.counter_deltas) {
-        if (delta != 0) {
-          std::fprintf(stderr,
-                       "sanity FAILED: runtime-null sampler saw a delta "
-                       "%s=+%llu\n",
-                       counter_name.c_str(),
-                       static_cast<unsigned long long>(delta));
-          return 1;
-        }
-      }
-    }
-  }
-  registry.set_enabled(true);
-  double sampled_ns = 0.0;
-  std::uint64_t samples_taken = 0;
-  {
-    obs::Sampler sampler(registry, {std::chrono::milliseconds(1), 64});
-    const bool started = sampler.start();
-    if (started != compiled_in) {
-      std::fprintf(stderr,
-                   "sanity FAILED: sampler.start() = %d, compiled_in = %d\n",
-                   started ? 1 : 0, compiled_in ? 1 : 0);
-      return 1;
-    }
-    sampled_ns = measure();
-    sampler.stop();
-    samples_taken = sampler.samples_taken();
-    if (compiled_in && samples_taken == 0) {
-      std::fprintf(stderr, "sanity FAILED: running sampler took no samples\n");
-      return 1;
-    }
-    if (!compiled_in && samples_taken != 0) {
-      std::fprintf(stderr,
-                   "sanity FAILED: compiled-out sampler took %llu samples\n",
-                   static_cast<unsigned long long>(samples_taken));
-      return 1;
-    }
-  }
-  std::printf(
-      "obs sanity: causal(off)=inert  sampler: null=empty  "
-      "enabled+1ms-cadence=%.1f ns/inc (vs %.1f alone, %llu samples)\n",
-      sampled_ns, enabled_ns,
-      static_cast<unsigned long long>(samples_taken));
 
   std::printf("obs sanity: ok\n");
   return 0;

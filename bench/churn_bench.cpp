@@ -56,7 +56,7 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick) {
 
       // Per-row latency quantiles: the solver's reschedule / retree
       // histograms start fresh for every sweep row (absent and all-zero
-      // under -DMG_OBS=OFF or a runtime-null registry).
+      // under -DMG_OBS=OFF).
       obs::Registry::global().reset();
       churn::ChurnSolver solver(g0);
       bool exact = true;

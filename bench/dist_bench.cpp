@@ -173,7 +173,6 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   }
 
   obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
 
   obs::JsonWriter w(out);
   w.begin_object();

@@ -184,7 +184,6 @@ int run(const std::string& out_path, std::uint64_t seed, bool quick,
                  out_path.c_str());
     return 2;
   }
-  obs::Registry::global().set_enabled(true);
 
   bool all_ok = true;
 

@@ -58,7 +58,6 @@ int run(const std::string& out_path, double budget, std::uint64_t seed,
   }
 
   obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
 
   obs::JsonWriter w(out);
   w.begin_object();

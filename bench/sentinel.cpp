@@ -275,7 +275,13 @@ int main(int argc, char** argv) {
     } else if (flag == "--rev") {
       rev = next();
     } else if (flag == "--window") {
-      window = std::strtoull(next(), nullptr, 10);
+      // A whole positive count: a window of 0 leaves no baseline to read.
+      const std::string text = next();
+      if (text.find_first_not_of("0123456789") != std::string::npos) {
+        return usage();
+      }
+      window = std::strtoull(text.c_str(), nullptr, 10);
+      if (window == 0) return usage();
     } else if (flag == "--inflate") {
       const std::string spec = next();
       const auto eq = spec.find('=');

@@ -28,7 +28,6 @@
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "model/validator.h"
-#include "obs/causal.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
 
@@ -175,23 +174,14 @@ int main(int argc, char** argv) {
   options.sink = &timeline;
   if (faulty) options.faults = &plan;
 
-  // Flow tracing is opt-in: the runtime mirrors its happens-before record
-  // into the global causal ring only while the tracer is enabled.
+  // The flow trace layers the run's happens-before record over the spans
+  // the run records while the span tracer is on.
   const bool want_flows = !opt.flow_trace_out.empty();
-  if (want_flows) {
-    obs::CausalTracer::global().clear();
-    obs::CausalTracer::global().set_enabled(true);
-    obs::SpanTracer::global().set_enabled(true);
-  }
-
+  obs::SpanTracer::global().set_enabled(want_flows);
   const dist::DistOutcome outcome =
       dist::run_distributed(network, opt.algorithm, options);
   const dist::RunReport& run = outcome.run;
-
-  if (want_flows) {
-    obs::CausalTracer::global().set_enabled(false);
-    obs::SpanTracer::global().set_enabled(false);
-  }
+  obs::SpanTracer::global().set_enabled(false);
 
   std::printf("algorithm: %s on %s (n = %u, radius r = %u)\n",
               gossip::algorithm_name(opt.algorithm).c_str(),
@@ -232,11 +222,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     obs::write_chrome_trace(out, obs::SpanTracer::global().snapshot(),
-                            obs::CausalTracer::global().snapshot());
-    std::printf("causal flow trace written to %s (%llu events)\n",
-                opt.flow_trace_out.c_str(),
-                static_cast<unsigned long long>(
-                    obs::CausalTracer::global().recorded()));
+                            dist::flow_events(run));
+    std::printf("causal flow trace written to %s (%zu events)\n",
+                opt.flow_trace_out.c_str(), run.causal.size());
   }
 
   if (!faulty) {

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "gossip/online.h"
-#include "obs/causal.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "support/contracts.h"
@@ -17,23 +16,6 @@ namespace mg::dist {
 
 using graph::Vertex;
 using model::Message;
-
-namespace {
-
-/// Mirrors one happens-before link into the global causal ring (a single
-/// relaxed load while the tracer is disabled; nothing at all when the
-/// build compiled observability out).
-void mirror_causal(const CausalLink& link) {
-#if MG_OBS_ENABLED
-  obs::CausalTracer::global().try_record(
-      {link.id, link.parent, static_cast<std::uint32_t>(link.kind),
-       link.round, link.sender, link.message, link.fanout});
-#else
-  (void)link;
-#endif
-}
-
-}  // namespace
 
 struct ActorRuntime::Impl {
   const gossip::Instance* instance;
@@ -187,7 +169,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
                              main_phase ? CausalLink::Kind::kData
                                         : CausalLink::Kind::kRepair,
                              abs_t, v, tx.message, tx.receivers.size()});
-    mirror_causal(report.causal.back());
     im.emit({"send", abs_t, v, tx.message, first_receiver,
              tx.receivers.size(), id, out[v].data_cause});
     into.add(local_t, tx);
@@ -274,7 +255,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     e.trace = ++next_trace;
     report.causal.push_back({e.trace, o.control_cause, kind, abs_t, v,
                              e.message, o.control_to.size()});
-    mirror_causal(report.causal.back());
     bool posted = false;
     for (const Vertex to : o.control_to) {
       if (!live_at(to, abs_t)) continue;
@@ -409,6 +389,17 @@ CriticalPath critical_path(const RunReport& report) {
   }
   std::reverse(path.hops.begin(), path.hops.end());
   return path;
+}
+
+std::vector<obs::FlowEvent> flow_events(const RunReport& report) {
+  std::vector<obs::FlowEvent> flows;
+  flows.reserve(report.causal.size());
+  for (const CausalLink& link : report.causal) {
+    flows.push_back({link.id, link.parent,
+                     static_cast<std::uint32_t>(link.kind), link.round,
+                     link.sender, link.message, link.fanout});
+  }
+  return flows;
 }
 
 VerifyReport verify_against_schedule(const model::Schedule& central,

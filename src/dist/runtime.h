@@ -44,6 +44,7 @@
 #include "graph/graph.h"
 #include "model/schedule.h"
 #include "obs/trace.h"
+#include "obs/trace_export.h"
 #include "support/bitset.h"
 
 namespace mg::dist {
@@ -76,6 +77,7 @@ struct RuntimeOptions {
 /// the sender held it initially: a root cause), for digests the most
 /// recent hold-changing data arrival, for grants the chosen digest.
 struct CausalLink {
+  /// Same codes as obs::FlowEvent's kinds.
   enum class Kind : std::uint8_t {
     kData = 0,    ///< main-phase data multicast
     kRepair = 1,  ///< recovery data round
@@ -114,9 +116,8 @@ struct RunReport : gossip::HoldVerdict {
   BitMatrix final_holds;  ///< hold sets at end of run, row per actor
   /// Happens-before record: one link per transmission that hit the wire
   /// (data, repair data, digest, grant), in capture order.  Always
-  /// recorded — `critical_path` works with MG_OBS compiled out; the same
-  /// links are mirrored into the global obs::CausalTracer ring when it is
-  /// enabled, for the Chrome-trace flow export.
+  /// recorded in full, also with MG_OBS compiled out; `critical_path` and
+  /// `flow_events` read it.
   std::vector<CausalLink> causal;
 };
 
@@ -140,6 +141,10 @@ struct CriticalPath {
 /// their cycle's data round); ties prefer the later-captured link so the
 /// recovery tail, when present, is the chain reported.
 [[nodiscard]] CriticalPath critical_path(const RunReport& report);
+
+/// `report.causal` as Chrome-trace flow events (obs/trace_export.h), one
+/// per link in capture order.
+[[nodiscard]] std::vector<obs::FlowEvent> flow_events(const RunReport& report);
 
 class ActorRuntime {
  public:

@@ -92,7 +92,6 @@ Engine::Shard& Engine::shard_for(std::uint64_t fingerprint) const {
 }
 
 ResultPtr Engine::solve(const graph::Graph& g, gossip::Algorithm algorithm) {
-  MG_OBS_SCOPE_TIMER(request_timer, "engine.request_ns");
   MG_OBS_SCOPE_HIST(request_hist, "engine.request_ns");
   requests_.fetch_add(1, std::memory_order_relaxed);
   MG_OBS_ADD("engine.requests", 1);

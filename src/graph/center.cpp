@@ -280,12 +280,12 @@ CenterResult hybrid_center(const Graph& g, ThreadPool* pool,
       mid = v;
     }
   }
-  std::vector<std::uint32_t> dist_m = dist_a;
+  // An evaluated midpoint is 0, a or b (b only when d(a, b) = 1, and then
+  // b = 0), and the vertex farthest from it, a or b, is evaluated too.
   if (evaluated[mid] == 0) {
-    dist_m = evaluate_ref(mid).second;
+    const Vertex far_m = farthest(evaluate_ref(mid).second);
+    if (evaluated[far_m] == 0) evaluate_ref(far_m);
   }
-  const Vertex far_m = farthest(dist_m);
-  if (evaluated[far_m] == 0) evaluate_ref(far_m);
 
   // Candidate scan: unevaluated vertices ordered by the frozen (L, U, id).
   std::vector<Vertex> order;

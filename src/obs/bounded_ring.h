@@ -1,8 +1,8 @@
-// The bounded lock-free ring both tracers record into (SpanTracer,
-// CausalTracer).  Recording claims a slot with one relaxed fetch_add,
-// writes it in place and publishes it with one release store.  Slots are
-// not reused before `clear()`: once `capacity` values were claimed, the
-// rest are counted as dropped — tracing never blocks or reallocates.
+// The bounded lock-free ring SpanTracer records into.  Recording claims a
+// slot with one relaxed fetch_add, writes it in place and publishes it with
+// one release store.  Slots are not reused before `clear()`: once
+// `capacity` values were claimed, the rest are counted as dropped —
+// tracing never blocks or reallocates.
 #pragma once
 
 #include <algorithm>

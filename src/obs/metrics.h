@@ -2,12 +2,10 @@
 // log-bucketed latency histograms.
 //
 // All are thread-safe (relaxed atomics — metrics need no ordering
-// guarantees) and trivially cheap: an enabled counter increment is one
-// relaxed fetch_add, a histogram record is two fetch_adds plus a bucket
-// increment, and a disabled one (see registry.h) lands on a shared scratch
-// cell without ever taking a lock or allocating.  All hot-path
-// instrumentation goes through the MG_OBS_* macros in registry.h so it can
-// also be compiled out entirely.
+// guarantees) and trivially cheap: a counter increment is one relaxed
+// fetch_add, a histogram record is two fetch_adds plus a bucket increment.
+// All hot-path instrumentation goes through the MG_OBS_* macros in
+// registry.h so it can be compiled out entirely.
 #pragma once
 
 #include <algorithm>
@@ -16,8 +14,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "support/stopwatch.h"
 
@@ -75,11 +71,6 @@ struct HistogramSnapshot {
   std::uint64_t p50 = 0;
   std::uint64_t p90 = 0;
   std::uint64_t p99 = 0;
-  /// Non-empty buckets as (inclusive upper bound, count), ascending — the
-  /// raw (non-cumulative) counts the Prometheus exposition accumulates
-  /// into its monotone `le` series.  The last representable bucket's
-  /// upper bound is UINT64_MAX (the "+Inf" bucket).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
 };
 
 /// Thread-safe log-bucketed value histogram (HdrHistogram-style).
@@ -120,14 +111,6 @@ class Histogram {
     return (kSubBuckets + sub) << (exponent - kSubBits);
   }
 
-  /// Largest value mapping to bucket `index` (inclusive, so Prometheus
-  /// `le` bounds come straight from it); UINT64_MAX for the last bucket.
-  [[nodiscard]] static constexpr std::uint64_t bucket_upper_bound(
-      std::size_t index) {
-    if (index + 1 >= kBucketCount) return ~std::uint64_t{0};
-    return bucket_lower_bound(index + 1) - 1;
-  }
-
   void record(std::uint64_t value) {
     buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -162,9 +145,6 @@ class Histogram {
     snap.p50 = quantile_from(copy, total, 0.50);
     snap.p90 = quantile_from(copy, total, 0.90);
     snap.p99 = quantile_from(copy, total, 0.99);
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      if (copy[i] != 0) snap.buckets.emplace_back(bucket_upper_bound(i), copy[i]);
-    }
     return snap;
   }
 

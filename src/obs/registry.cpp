@@ -1,10 +1,6 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <ostream>
-#include <sstream>
-
-#include "obs/exposition.h"
 
 namespace mg::obs {
 
@@ -28,7 +24,6 @@ Registry& Registry::global() {
 }
 
 Counter& Registry::counter(std::string_view name) {
-  if (!enabled()) return scratch_counter_;
   const std::scoped_lock lock(mutex_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
@@ -37,7 +32,6 @@ Counter& Registry::counter(std::string_view name) {
 }
 
 Timer& Registry::timer(std::string_view name) {
-  if (!enabled()) return scratch_timer_;
   const std::scoped_lock lock(mutex_);
   const auto it = timers_.find(name);
   if (it != timers_.end()) return *it->second;
@@ -46,7 +40,6 @@ Timer& Registry::timer(std::string_view name) {
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  if (!enabled()) return scratch_histogram_;
   const std::scoped_lock lock(mutex_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
@@ -59,9 +52,6 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, t] : timers_) t->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  scratch_counter_.reset();
-  scratch_timer_.reset();
-  scratch_histogram_.reset();
 }
 
 Snapshot Registry::snapshot() const {
@@ -80,18 +70,6 @@ Snapshot Registry::snapshot() const {
     snap.histograms.emplace_back(name, h->snapshot());
   }
   return snap;
-}
-
-void Registry::write_json(std::ostream& out) const {
-  // The JSON shape lives in one place: the exposition sink the mg::net
-  // daemon will mount serves exactly what this always wrote.
-  JsonExposition().expose(snapshot(), out);
-}
-
-std::string Registry::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
 }
 
 }  // namespace mg::obs

@@ -1,27 +1,22 @@
 // Process-wide metric registry.
 //
-// Instrumented code asks the registry for a named Counter or Timer;
-// references stay valid for the registry's lifetime, so hot paths may cache
-// them.  Two independent off switches keep the cost bounded:
+// Instrumented code asks the registry for a named Counter, Timer or
+// Histogram; references stay valid for the registry's lifetime, so hot
+// paths may cache them.  Building with MG_OBS_ENABLED=0 (CMake option
+// -DMG_OBS=OFF) turns every MG_OBS_* macro below into nothing — the one
+// off switch; `bench_main --sanity` checks both builds.
 //
-//  * compile time — building with MG_OBS_ENABLED=0 (CMake option -DMG_OBS=OFF)
-//    turns every MG_OBS_* macro below into nothing;
-//  * run time — Registry::set_enabled(false) makes counter()/timer() hand
-//    back shared scratch cells without touching the name maps or the mutex,
-//    so an instrumented binary can null out its observability per process
-//    (the "null registry").  `bench_main --sanity` measures both paths.
-//
-// snapshot() / write_json() export every named metric for the bench runner
-// and the perf-trajectory files (BENCH_*.json).
+// snapshot() exports every named metric for the bench runners and the
+// perf-trajectory files (BENCH_*.json).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -55,15 +50,6 @@ class Registry {
   /// The process-wide registry every MG_OBS_* macro reports into.
   static Registry& global();
 
-  /// Runtime kill switch: while disabled, counter()/timer() return shared
-  /// scratch cells (no lock, no allocation) and snapshots stay empty.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Named metric accessors; create on first use.  The returned references
   /// live as long as the registry (reset() zeroes values, never removes).
   Counter& counter(std::string_view name);
@@ -75,21 +61,11 @@ class Registry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Writes the snapshot as a JSON object
-  /// {"counters": {...}, "timers": {name: {"total_ns": .., "count": ..}},
-  ///  "histograms": {name: {"count": .., "p50": .., "p99": .., ...}}}.
-  void write_json(std::ostream& out) const;
-  [[nodiscard]] std::string to_json() const;
-
  private:
-  std::atomic<bool> enabled_{true};
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  Counter scratch_counter_;  // sink while disabled
-  Timer scratch_timer_;
-  Histogram scratch_histogram_;
 };
 
 }  // namespace mg::obs

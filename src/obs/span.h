@@ -13,10 +13,10 @@
 // relaxed fetch_add to claim a slot, a plain write, and one release store
 // to publish it.  When the ring is full further spans are counted as
 // dropped rather than blocking or reallocating — tracing must never
-// disturb the workload it observes.  The same two off switches as the
-// metric registry apply: compile-time (`MG_OBS_ENABLED=0` turns
-// MG_OBS_SPAN into nothing) and runtime (`SpanTracer::set_enabled(false)`,
-// the default, reduces a ScopeSpan to a single relaxed atomic load).
+// disturb the workload it observes.  Two off switches apply: compile-time
+// (`MG_OBS_ENABLED=0` turns MG_OBS_SPAN into nothing, like the metric
+// macros) and runtime (`SpanTracer::set_enabled(false)`, the default,
+// reduces a ScopeSpan to a single relaxed atomic load).
 #pragma once
 
 #include <atomic>

@@ -10,14 +10,14 @@ namespace mg::obs {
 
 namespace {
 
-/// Names for the `mg::dist` kind encoding (see CausalTracer); unknown
-/// codes render generically rather than failing the export.
+/// Names for the `mg::dist` kind encoding (see FlowEvent); unknown codes
+/// render generically rather than failing the export.
 std::string_view flow_kind_name(std::uint32_t kind) {
   switch (kind) {
-    case CausalTracer::kFlowData: return "data";
-    case CausalTracer::kFlowRepair: return "repair";
-    case CausalTracer::kFlowDigest: return "digest";
-    case CausalTracer::kFlowGrant: return "grant";
+    case FlowEvent::kData: return "data";
+    case FlowEvent::kRepair: return "repair";
+    case FlowEvent::kDigest: return "digest";
+    case FlowEvent::kGrant: return "grant";
     default: return "flow";
   }
 }
@@ -48,12 +48,12 @@ void write_span_events(JsonWriter& w,
 }
 
 void write_flow_events(JsonWriter& w,
-                       const std::vector<CausalTracer::Event>& flows) {
-  std::unordered_map<std::uint64_t, const CausalTracer::Event*> by_id;
+                       const std::vector<FlowEvent>& flows) {
+  std::unordered_map<std::uint64_t, const FlowEvent*> by_id;
   by_id.reserve(flows.size());
-  for (const CausalTracer::Event& e : flows) by_id.emplace(e.id, &e);
+  for (const FlowEvent& e : flows) by_id.emplace(e.id, &e);
 
-  for (const CausalTracer::Event& e : flows) {
+  for (const FlowEvent& e : flows) {
     w.begin_object();
     w.field("name", flow_kind_name(e.kind));
     w.field("cat", "mg.flow");
@@ -73,12 +73,12 @@ void write_flow_events(JsonWriter& w,
 
   // One flow arrow per happens-before edge: "s" anchored inside the parent
   // slice, "f" (bp:"e" — bind to enclosing slice) inside the child's.
-  // Edges whose parent fell out of the ring are skipped, not invented.
-  for (const CausalTracer::Event& e : flows) {
+  // Edges whose parent is not in `flows` are skipped, not invented.
+  for (const FlowEvent& e : flows) {
     if (e.parent == 0) continue;
     const auto it = by_id.find(e.parent);
     if (it == by_id.end()) continue;
-    const CausalTracer::Event& parent = *it->second;
+    const FlowEvent& parent = *it->second;
     w.begin_object();
     w.field("name", "cause");
     w.field("cat", "mg.flow");
@@ -103,7 +103,7 @@ void write_flow_events(JsonWriter& w,
 
 void write_document(std::ostream& out,
                     const std::vector<SpanTracer::Span>& spans,
-                    const std::vector<CausalTracer::Event>& flows,
+                    const std::vector<FlowEvent>& flows,
                     bool pretty) {
   JsonWriter w(out, pretty);
   w.begin_object();
@@ -131,7 +131,7 @@ void write_chrome_trace(std::ostream& out, const SpanTracer& tracer,
 
 void write_chrome_trace(std::ostream& out,
                         const std::vector<SpanTracer::Span>& spans,
-                        const std::vector<CausalTracer::Event>& flows,
+                        const std::vector<FlowEvent>& flows,
                         bool pretty) {
   write_document(out, spans, flows, pretty);
 }

@@ -11,11 +11,10 @@
 //
 // Chain validity, capture completeness (one link per transmission on the
 // wire), independence from the bus seed (copies of one message that land
-// in one inbox together tie by trace id, not by delivery order), the
-// CausalTracer mirror, and the flow-trace JSON round-trip
-// through the repo's JSON reader are checked alongside.  RunReport.causal
-// is always recorded (independent of MG_OBS), so everything except the
-// mirror test also gates the -DMG_OBS=OFF build.
+// in one inbox together tie by trace id, not by delivery order), and the
+// flow-trace JSON round-trip through the repo's JSON reader are checked
+// alongside.  RunReport.causal is always recorded (independent of MG_OBS),
+// so every test also gates the -DMG_OBS=OFF build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
-#include "obs/causal.h"
 #include "obs/trace_export.h"
 #include "support/json_read.h"
 #include "support/rng.h"
@@ -215,54 +213,17 @@ TEST(DistCausal, RecordIsIndependentOfTheBusSeed) {
   }
 }
 
-TEST(DistCausal, GlobalTracerMirrorsTheRunReport) {
-  // When the global CausalTracer is enabled, the runtime mirrors every
-  // captured link into the ring; with observability compiled out the ring
-  // must stay empty while RunReport.causal still carries the record.
-  obs::CausalTracer& tracer = obs::CausalTracer::global();
-  tracer.set_enabled(false);
-  tracer.clear();
-  tracer.set_enabled(true);
-  const DistOutcome outcome =
-      run_distributed(graph::petersen(), gossip::Algorithm::kConcurrentUpDown);
-  tracer.set_enabled(false);
-
-  const std::vector<obs::CausalTracer::Event> mirrored = tracer.snapshot();
-  ASSERT_FALSE(outcome.run.causal.empty());
-  const bool compiled_in = MG_OBS_ENABLED != 0;
-  if (!compiled_in) {
-    EXPECT_TRUE(mirrored.empty());
-    return;
-  }
-  ASSERT_EQ(mirrored.size(), outcome.run.causal.size());
-  // snapshot() sorts by (time, id); compare as id-keyed sets of edges.
-  std::set<std::pair<std::uint64_t, std::uint64_t>> report_edges;
-  for (const CausalLink& link : outcome.run.causal) {
-    report_edges.emplace(link.id, link.parent);
-  }
-  for (const obs::CausalTracer::Event& e : mirrored) {
-    EXPECT_TRUE(report_edges.count({e.id, e.parent}) != 0)
-        << "mirrored edge " << e.id << "<-" << e.parent
-        << " missing from the report";
-  }
-  tracer.clear();
-}
-
 TEST(DistCausal, FlowTraceRoundTripsThroughParser) {
   // Export the run's happens-before record as Chrome-trace flow events and
   // parse it back: one pid-2 slice per link, one "s"/"f" pair per edge,
   // every flow id resolving to a slice with that id.
   const DistOutcome outcome =
       run_distributed(graph::petersen(), gossip::Algorithm::kConcurrentUpDown);
-  std::vector<obs::CausalTracer::Event> flows;
-  flows.reserve(outcome.run.causal.size());
-  std::size_t edges = 0;
-  for (const CausalLink& link : outcome.run.causal) {
-    flows.push_back({link.id, link.parent,
-                     static_cast<std::uint32_t>(link.kind), link.round,
-                     link.sender, link.message, link.fanout});
-    if (link.parent != 0) ++edges;
-  }
+  const std::vector<obs::FlowEvent> flows = flow_events(outcome.run);
+  ASSERT_EQ(flows.size(), outcome.run.causal.size());
+  const auto edges = static_cast<std::size_t>(std::count_if(
+      outcome.run.causal.begin(), outcome.run.causal.end(),
+      [](const CausalLink& link) { return link.parent != 0; }));
 
   std::ostringstream out;
   obs::write_chrome_trace(out, {}, flows);

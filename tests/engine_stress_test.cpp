@@ -56,7 +56,6 @@ std::vector<graph::Graph> make_graph_pool() {
 TEST(EngineStress, EightThreadsAgainstEightEntryCache) {
 #if MG_OBS_ENABLED
   obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
   registry.reset();
 #endif
   const std::vector<graph::Graph> pool = make_graph_pool();

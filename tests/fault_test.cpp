@@ -243,7 +243,6 @@ TEST(FaultPlan, DelayedForwardingCascades) {
 #if MG_OBS_ENABLED
 TEST(FaultPlan, ObservabilityCountersTrackFaults) {
   obs::Registry& registry = obs::Registry::global();
-  registry.set_enabled(true);
   registry.reset();
 
   const SolvedRun run = make_run(graph::petersen());
