@@ -21,10 +21,13 @@
 // The `recovery` section runs the decentralized recovery plane: the online
 // rule on random geometric networks under 1% drops plus a crash of the
 // tree root at mid-horizon, serially and on the pool.  It records both
-// wall times, the recovery cycles, control messages per data message and
-// the per-cycle latency quantiles of `dist.recovery_round_ns`, and gates
-// on `recovered` and on serial == threaded (equivalent emergent and repair
-// schedules, equal RunReport counters) — never on time.
+// wall times, the recovery cycles, the rounds the central planner
+// (`gossip::partial_completion_schedule`) needs on the same end-of-main-
+// phase holds, control messages per data message and the per-cycle
+// latency quantiles of `dist.recovery_round_ns`, and gates on `recovered`,
+// on serial == threaded (equivalent emergent and repair schedules, equal
+// RunReport counters) and on recovery cycles <= 1.25x the central rounds
+// — never on time.
 //
 //   dist_bench [--out FILE] [--threads N] [--quick]
 //
@@ -41,6 +44,7 @@
 
 #include "dist/runtime.h"
 #include "fault/fault.h"
+#include "gossip/recovery.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
@@ -105,7 +109,14 @@ bool run_recovery(obs::JsonWriter& w, std::size_t threads, bool quick) {
     const auto [serial_ns, serial_run] = run_dist(0);
     const auto [threaded_ns, threaded_run] = run_dist(threads);
     const bool equivalent = same_execution(serial_run, threaded_run);
-    const bool row_ok = serial_run.recovered && equivalent;
+    // The central planner on the same holds and survivors.
+    const std::size_t central_rounds =
+        gossip::partial_completion_schedule(g, serial_run.main_holds,
+                                            plan.alive_at(horizon, n))
+            .round_count();
+    const bool near_central =
+        4 * serial_run.recovery_rounds <= 5 * central_rounds;
+    const bool row_ok = serial_run.recovered && equivalent && near_central;
     all_ok = all_ok && row_ok;
 
     const obs::HistogramSnapshot cycle_hist =
@@ -123,6 +134,7 @@ bool run_recovery(obs::JsonWriter& w, std::size_t threads, bool quick) {
     w.field("dist_threaded_ns", threaded_ns);
     w.field("recovery_rounds",
             static_cast<std::uint64_t>(serial_run.recovery_rounds));
+    w.field("central_rounds", static_cast<std::uint64_t>(central_rounds));
     w.field("messages", static_cast<std::uint64_t>(serial_run.messages));
     w.field("control_messages",
             static_cast<std::uint64_t>(serial_run.control_messages));
@@ -140,9 +152,13 @@ bool run_recovery(obs::JsonWriter& w, std::size_t threads, bool quick) {
     w.field("serial_equals_threaded", equivalent);
     w.end_object();
 
-    std::printf("recovery %-20s cycles=%3zu serial=%10llu ns threaded=%10llu "
-                "ns %s\n",
-                name.c_str(), serial_run.recovery_rounds,
+    std::printf("recovery %-20s cycles=%3zu central=%3zu (%.2fx, gate 1.25x) "
+                "serial=%10llu ns threaded=%10llu ns %s\n",
+                name.c_str(), serial_run.recovery_rounds, central_rounds,
+                central_rounds == 0
+                    ? 1.0
+                    : static_cast<double>(serial_run.recovery_rounds) /
+                          static_cast<double>(central_rounds),
                 static_cast<unsigned long long>(serial_ns),
                 static_cast<unsigned long long>(threaded_ns),
                 row_ok ? "ok" : "VIOLATION");
@@ -281,8 +297,9 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   }
   if (!recovery_ok) {
     std::fprintf(stderr,
-                 "dist_bench: a recovery row did not recover, or its "
-                 "threaded run differs from the serial one\n");
+                 "dist_bench: a recovery row did not recover, its "
+                 "threaded run differs from the serial one, or it needed "
+                 "more than 1.25x the central planner's rounds\n");
   }
   return all_ok && recovery_ok ? 0 : 1;
 }

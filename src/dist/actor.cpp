@@ -10,6 +10,15 @@ namespace mg::dist {
 using graph::Vertex;
 using model::Message;
 
+namespace {
+
+/// Whether the hold row `words` holds message m.
+bool holds_message(std::span<const std::uint64_t> words, Message m) {
+  return (words[m / 64] >> (m % 64) & 1) != 0;
+}
+
+}  // namespace
+
 std::vector<std::unique_ptr<TimetableRule>> TimetableRule::for_all(
     const model::Schedule& schedule, graph::Vertex n) {
   std::vector<std::unique_ptr<TimetableRule>> rules;
@@ -49,7 +58,9 @@ ProcessorActor::ProcessorActor(Vertex self, Vertex n, Message initial,
       neighbors_(std::move(neighbors)),
       rule_(std::move(rule)),
       holds_(1, n),
-      first_trace_(n, ~std::uint64_t{0}) {
+      first_trace_(n, ~std::uint64_t{0}),
+      lacks_(holds_.row_words(), neighbors_.size()),
+      serve_counts_(holds_.row_words(), neighbors_.size()) {
   holds_.set(0, initial);
   first_trace_[initial] = 0;
 }
@@ -111,6 +122,7 @@ Outbox ProcessorActor::step_digest(std::span<std::uint64_t> snapshot) {
   Envelope& digest = out.control.emplace();
   digest.kind = Envelope::Kind::kDigest;
   digest.sender = self_;
+  digest.message = offer_;
   digest.digest = snapshot;
   out.control_to = neighbors_;
   return out;
@@ -122,51 +134,73 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
   // Delayed data envelopes (per-edge fault delays) can land on any flip of
   // the recovery cycle; fold them in before deciding what is still wanted.
   learn(inbox);
-  if (complete()) return out;
 
-  // Which live neighbor offers the most messages I lack?  (A neighbor
-  // whose digest is absent is presumed crashed.)
-  // Offers count word by word; a digest shorter than the hold set offers
-  // nothing past its end, and bits past message n_ - 1 never count.
+  // One pass over the live neighbors' digests (a neighbor whose digest is
+  // absent is presumed crashed), word by word: what a digest offers that
+  // this actor lacks decides the grant, and what this actor holds that the
+  // digest lacks is counted toward the next offer.  Bits past message
+  // n_ - 1 never count.
   const auto mine = holds_.row(0);
-  const std::uint64_t last_word_mask =
-      n_ % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n_ % 64)) - 1;
-  Vertex best = graph::kNoVertex;
-  std::size_t best_offered = 0;
-  Message best_request = 0;
-  std::uint64_t best_trace = 0;
+  const std::size_t words = mine.size();
+  const std::uint64_t past_last =
+      n_ % 64 == 0 ? 0 : ~std::uint64_t{0} << (n_ % 64);
+  struct Choice {
+    Vertex sender = graph::kNoVertex;
+    std::size_t offered = 0;
+    Message request = kNoOffer;  ///< kNoOffer: the lowest message offered
+    std::span<const std::uint64_t> digest;
+    std::uint64_t trace = 0;
+  };
+  // The largest offer, then the lowest sender.
+  const auto consider = [](Choice& best, const Choice& c) {
+    if (c.offered > best.offered ||
+        (c.offered == best.offered && c.sender < best.sender)) {
+      best = c;
+    }
+  };
+  Choice announced;  // among digests announcing an offer this actor lacks
+  Choice any;        // among all digests
+  lacks_.clear();
+  digests_.clear();
   for (const Envelope& e : inbox) {
     if (e.kind != Envelope::Kind::kDigest) continue;
+    MG_EXPECTS(e.digest.size() == words);
+    digests_.emplace_back(e.sender, e.digest);
     std::size_t offered = 0;
-    Message lowest = 0;
-    const std::size_t words = std::min(e.digest.size(), mine.size());
     for (std::size_t w = 0; w < words; ++w) {
+      lacks_.add(w, mine[w] & ~e.digest[w]);
       std::uint64_t offer = e.digest[w] & ~mine[w];
-      if (w + 1 == mine.size()) offer &= last_word_mask;
-      if (offer == 0) continue;
-      if (offered == 0) {
-        lowest = static_cast<Message>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(offer)));
-      }
-      offered += static_cast<std::size_t>(std::popcount(offer));
+      if (w + 1 == words) offer &= ~past_last;
+      if (offer != 0) offered += static_cast<std::size_t>(std::popcount(offer));
     }
-    if (offered > best_offered ||
-        (offered == best_offered && offered > 0 && e.sender < best)) {
-      best = e.sender;
-      best_offered = offered;
-      best_request = lowest;
-      best_trace = e.trace;
+    if (offered == 0) continue;
+    Choice c{e.sender, offered, kNoOffer, e.digest, e.trace};
+    consider(any, c);
+    if (e.message < n_ && holds_message(e.digest, e.message) &&
+        !holds_.test(0, e.message)) {
+      c.request = e.message;
+      consider(announced, c);
     }
   }
-  if (best_offered == 0) return out;  // nothing wanted is on offer: quiesce
+  Choice& best = announced.offered > 0 ? announced : any;
+  if (best.offered == 0) return out;  // nothing wanted is on offer: quiesce
+  // The lowest message offered: `offered` counted only messages below n_,
+  // and any of them sits below the padding bits of its word.
+  for (std::size_t w = 0; best.request == kNoOffer; ++w) {
+    const std::uint64_t offer = best.digest[w] & ~mine[w];
+    if (offer != 0) {
+      best.request = static_cast<Message>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(offer)));
+    }
+  }
 
   quiescent_ = false;
-  out.control_cause = best_trace;  // the digest that won the reservation
+  out.control_cause = best.trace;  // the digest that won the reservation
   Envelope& grant = out.control.emplace();
   grant.kind = Envelope::Kind::kGrant;
   grant.sender = self_;
-  grant.message = best_request;
-  granted_ = best;
+  grant.message = best.request;
+  granted_ = best.sender;
   out.control_to = std::span(&granted_, 1);
   return out;
 }
@@ -174,36 +208,45 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
 Outbox ProcessorActor::step_data(const std::vector<Envelope>& inbox) {
   Outbox out;
   learn(inbox);
-  // Votes as (requested message, granter) pairs, sorted so the tally does
-  // not depend on the inbox's shuffled order.  The longest run of one
-  // message wins (ties: the lowest message); its granters, already
-  // ascending, are the receivers.
-  votes_.clear();
+  // Count, per held message, the granters whose digests of this cycle
+  // lack it.  A granter's digest lacks its requested message (the grant is
+  // newer than the digest), so some count is non-zero.  Sums do not depend
+  // on the inbox's shuffled order.
+  const auto mine = holds_.row(0);
+  granters_.clear();
   for (const Envelope& e : inbox) {
     if (e.kind != Envelope::Kind::kGrant) continue;
+    if (granters_.empty()) serve_counts_.clear();
     MG_ASSERT_MSG(holds_.test(0, e.message),
                   "grant requested a message the digest never offered");
-    votes_.emplace_back(e.message, e.sender);
+    const auto digest =
+        std::find_if(digests_.begin(), digests_.end(),
+                     [&](const auto& d) { return d.first == e.sender; });
+    MG_ASSERT_MSG(digest != digests_.end(),
+                  "grant from a neighbor whose digest was never read");
+    MG_ASSERT_MSG(!holds_message(digest->second, e.message),
+                  "grant requested a message its granter's digest holds");
+    serve_counts_.add_missing(mine, digest->second);
+    granters_.push_back(*digest);
   }
-  if (votes_.empty()) return out;
-  std::sort(votes_.begin(), votes_.end());
-  std::size_t first = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0, j = 0; i < votes_.size(); i = j) {
-    while (j < votes_.size() && votes_[j].first == votes_[i].first) ++j;
-    if (j - i > count) {
-      first = i;
-      count = j - i;
+  if (!granters_.empty()) {
+    // The message the most granters lack (ties: the lowest id), to exactly
+    // the granters that lack it, in ascending order.
+    model::Transmission tx;
+    tx.message = serve_counts_.argmax();
+    tx.sender = self_;
+    std::sort(granters_.begin(), granters_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [granter, digest] : granters_) {
+      if (!holds_message(digest, tx.message)) tx.receivers.push_back(granter);
     }
+    lacks_.remove(tx.message, tx.receivers.size());
+    out.data_cause = first_trace_[tx.message];
+    out.data = std::move(tx);
   }
-  model::Transmission tx;
-  tx.message = votes_[first].first;
-  tx.sender = self_;
-  for (std::size_t k = first; k < first + count; ++k) {
-    tx.receivers.push_back(votes_[k].second);
-  }
-  out.data_cause = first_trace_[tx.message];
-  out.data = std::move(tx);
+  // Next cycle's offer: the message the most neighbors lacked, less the
+  // pairs just served.
+  offer_ = lacks_.any() ? lacks_.argmax() : kNoOffer;
   return out;
 }
 

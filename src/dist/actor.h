@@ -20,28 +20,40 @@
 //    cascades emerge exactly as in `sim::simulate`.
 //
 // Decentralized recovery (after the planned horizon) is a three-subround
-// digest / grant / data cycle per repair round — every decision is local:
+// digest / grant / data cycle per repair round — every decision is local,
+// made from the actor's own holds and the digests the bus delivered to it:
 //
 //  1. digest — every live actor multicasts its hold bitmap to its network
 //     neighbors: it snapshots its hold row once into its own row of the
 //     runtime's digest matrix and sends one digest envelope, viewing that
-//     row, to its neighbor row.  A neighbor whose digest is missing is presumed
-//     crashed (heartbeat failure detection).
-//  2. grant — an actor still missing messages picks the neighbor whose
-//     digest offers the most of them (ties: lowest id), and reserves it
-//     with a grant naming one wanted message (lowest id offered).  Offers
-//     are counted 64 messages at a time, as popcount(digest & ~holds) per
-//     word.  One grant per receiver per cycle, so data-round D sets are
-//     disjoint by construction — the emergent repair schedule is
+//     row, to its neighbor row.  The envelope's `message` announces the
+//     actor's offer for the cycle: the held message the most of its
+//     neighbors lacked in the digests it read last cycle, not counting the
+//     (receiver, message) pairs it served then (kNoOffer before its first
+//     data step, or when no neighbor lacked anything).  A neighbor whose
+//     digest is missing is presumed crashed (heartbeat failure detection).
+//  2. grant — an actor still missing messages reserves one neighbor with a
+//     grant naming one wanted message.  A neighbor whose announced offer it
+//     lacks comes first: among those, the largest total offer, then the
+//     lowest id, and the grant requests the announced message.  With no
+//     such neighbor it takes the largest total offer (ties: lowest id) and
+//     requests the lowest message offered.  Offers are counted 64 messages
+//     at a time, as popcount(digest & ~holds) per word; the same pass
+//     counts, per held message, the neighbors whose digests lack it — next
+//     cycle's offer.  One grant per receiver per cycle, so data-round D
+//     sets are disjoint by construction — the emergent repair schedule is
 //     model-valid.
-//  3. data — each granted actor sends the message requested by the most of
-//     its granters (ties: lowest id) to exactly the granters that requested
-//     it.  Every data round delivers at least one new (processor, message)
-//     pair per granted sender, so the protocol reaches each surviving
-//     component's achievable closure in finitely many rounds; quiescence
-//     (no grants anywhere) is exactly closure, mirroring
+//  3. data — each granted actor serves the held message the most of its
+//     granters lack, judged from their digests of this cycle (ties: lowest
+//     id), to exactly the granters that lack it.  A granter's requested
+//     message is one it lacked when it granted, so its digest, older than
+//     the grant, lacks it too: every granted actor delivers at least one
+//     new (processor, message) pair, and the protocol reaches each
+//     surviving component's achievable closure in finitely many rounds;
+//     quiescence (no grants anywhere) is exactly closure, mirroring
 //     `gossip::partial_completion_schedule`'s semantics without its
-//     coordinator.
+//     coordinator.  Both tallies are `gossip::WantCounts`, the central
+//     planner's counter.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +65,7 @@
 
 #include "dist/mailbox.h"
 #include "gossip/online.h"
+#include "gossip/want_counts.h"
 #include "model/schedule.h"
 #include "support/bitset.h"
 
@@ -174,14 +187,18 @@ class ProcessorActor {
   // --- recovery subrounds (each reads the previous subround's inbox) ------
 
   /// Subround 1: copy the hold row into `snapshot` (this actor's row of the
-  /// runtime's digest matrix) and multicast one envelope viewing it to the
-  /// neighbor row.
+  /// runtime's digest matrix) and multicast one envelope viewing it, and
+  /// announcing the planned offer, to the neighbor row.
   [[nodiscard]] Outbox step_digest(std::span<std::uint64_t> snapshot);
 
-  /// Subround 2: read neighbor digests, reserve the best offering neighbor.
+  /// Subround 2: read neighbor digests, reserve the best offering neighbor
+  /// (an announced offer this actor lacks first), and count what the
+  /// neighbors lack of this actor's holds.  The digest views are kept for
+  /// `step_data`: they stay valid until the next digest subround.
   [[nodiscard]] Outbox step_grant(const std::vector<Envelope>& inbox);
 
-  /// Subround 3: read grants, serve the most-requested message.
+  /// Subround 3: read grants, serve the message the most granters' digests
+  /// lack to exactly those granters, then plan the next cycle's offer.
   [[nodiscard]] Outbox step_data(const std::vector<Envelope>& inbox);
 
   /// True when the last `step_grant` found nothing to want from any live
@@ -202,8 +219,18 @@ class ProcessorActor {
   bool quiescent_ = true;
   /// The neighbor the last grant reserved: that grant's receiver span.
   graph::Vertex granted_ = graph::kNoVertex;
-  /// step_data's (requested message, granter) tally, kept for its capacity.
-  std::vector<std::pair<model::Message, graph::Vertex>> votes_;
+  /// The offer the next digest announces.
+  model::Message offer_ = kNoOffer;
+  /// Per held message, the neighbors whose last digests lack it.
+  gossip::WantCounts lacks_;
+  /// Per held message, the granters whose digests lack it (step_data's).
+  gossip::WantCounts serve_counts_;
+  /// (sender, digest view) of every digest the last step_grant read, and
+  /// of step_data's granters; both kept for their capacity.
+  std::vector<std::pair<graph::Vertex, std::span<const std::uint64_t>>>
+      digests_;
+  std::vector<std::pair<graph::Vertex, std::span<const std::uint64_t>>>
+      granters_;
 };
 
 }  // namespace mg::dist

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -27,6 +28,11 @@
 #include "support/rng.h"
 
 namespace mg::dist {
+
+/// A digest's `message` when its sender plans no offer for the cycle: no
+/// data step has run yet, or no neighbor lacked anything it holds.
+inline constexpr model::Message kNoOffer =
+    std::numeric_limits<model::Message>::max();
 
 /// One message on the (in-process) wire.  Data envelopes carry a gossip
 /// message; digest/grant envelopes are the decentralized recovery
@@ -40,7 +46,10 @@ struct Envelope {
   };
   Kind kind = Kind::kData;
   graph::Vertex sender = 0;
-  model::Message message = 0;  ///< payload for kData; requested id for kGrant
+  /// kData: the payload.  kDigest: the sender's announced offer, the held
+  /// message it plans to serve this cycle (kNoOffer for none).  kGrant: the
+  /// requested message.
+  model::Message message = 0;
   /// True when the sender is the receiver's tree parent — the one bit of
   /// link-local context the §4 online rule needs (o-stream vs child
   /// deliveries).  Meaningless for control envelopes.

@@ -89,7 +89,9 @@ struct CausalLink {
   Kind kind = Kind::kData;
   std::size_t round = 0;  ///< absolute send round
   graph::Vertex sender = 0;
-  model::Message message = 0;  ///< payload (data), requested id (grant)
+  /// Payload (data), announced offer (digest; kNoOffer for none),
+  /// requested id (grant).
+  model::Message message = 0;
   std::size_t fanout = 0;
 };
 

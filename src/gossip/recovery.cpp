@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <utility>
 
+#include "gossip/want_counts.h"
 #include "model/validator.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -72,71 +72,6 @@ std::size_t outstanding_pairs(const SurvivorClosure& sc,
   }
   return outstanding;
 }
-
-/// Per-message counters, bit-sliced over 64-message words: plane p holds
-/// bit p of every message's count, so adding a mask of messages is one
-/// ripple-carry per word.  Counts stay below 2^planes when every count is
-/// at most `max_count` and planes = bit_width(max_count).
-class WantCounts {
- public:
-  WantCounts(std::size_t words, std::size_t max_count)
-      : words_(words),
-        planes_(static_cast<std::size_t>(std::bit_width(max_count))),
-        counts_(planes_ * words),
-        nonzero_(words) {}
-
-  void clear() {
-    std::fill(counts_.begin(), counts_.end(), 0);
-    std::fill(nonzero_.begin(), nonzero_.end(), 0);
-  }
-
-  /// Counts once every message of `have & ~lack`.  True when any was.
-  bool add_missing(std::span<const std::uint64_t> have,
-                   std::span<const std::uint64_t> lack) {
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t carry = have[w] & ~lack[w];
-      any |= carry;
-      nonzero_[w] |= carry;
-      for (std::size_t p = 0; p < planes_ && carry != 0; ++p) {
-        std::uint64_t& plane = counts_[p * words_ + w];
-        const std::uint64_t next = plane & carry;
-        plane ^= carry;
-        carry = next;
-      }
-    }
-    return any != 0;
-  }
-
-  /// The smallest message with the largest count; some count must be
-  /// non-zero.  From the top plane down, keep the surviving messages that
-  /// have the plane's bit whenever any of them has it.
-  [[nodiscard]] Message argmax() {
-    for (std::size_t p = planes_; p-- > 0;) {
-      const std::uint64_t* plane = counts_.data() + p * words_;
-      bool hit = false;
-      for (std::size_t w = 0; w < words_ && !hit; ++w) {
-        hit = (nonzero_[w] & plane[w]) != 0;
-      }
-      if (!hit) continue;
-      for (std::size_t w = 0; w < words_; ++w) nonzero_[w] &= plane[w];
-    }
-    for (std::size_t w = 0; w < words_; ++w) {
-      if (nonzero_[w] != 0) {
-        return static_cast<Message>(w * 64 + static_cast<std::size_t>(
-                                                 std::countr_zero(nonzero_[w])));
-      }
-    }
-    MG_ASSERT_MSG(false, "argmax over all-zero counts");
-    return 0;
-  }
-
- private:
-  std::size_t words_;
-  std::size_t planes_;
-  std::vector<std::uint64_t> counts_;   ///< counts_[p * words_ + w]
-  std::vector<std::uint64_t> nonzero_;  ///< messages with a non-zero count
-};
 
 }  // namespace
 

@@ -14,8 +14,9 @@
 //    ties), conflicts resolved greedily; it terminates because some
 //    wanting receiver with a knowing neighbor always exists while any
 //    reachable gap remains.  The wanted counts are bit-sliced counters
-//    over 64-message words, so a round costs O(m · ⌈messages/64⌉ · log Δ)
-//    word operations (Δ = maximum degree).  The
+//    over 64-message words (`gossip::WantCounts`, shared with the
+//    decentralized recovery of `mg::dist`), so a round costs
+//    O(m · ⌈messages/64⌉ · log Δ) word operations (Δ = maximum degree).  The
 //    partial form accepts dead processors and disconnected survivor
 //    graphs: each component floods to its *achievable closure* (the union
 //    of what its members know) and unreachable gaps are reported, not

@@ -22,7 +22,18 @@ thread_local std::uint32_t t_depth = 0;
 }  // namespace
 
 SpanTracer::SpanTracer(std::size_t capacity)
-    : ring_(capacity), epoch_ns_(steady_now_ns()) {}
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      epoch_ns_(steady_now_ns()) {}
+
+void SpanTracer::set_enabled(bool enabled) {
+  if (enabled) {
+    std::call_once(ring_built_, [this] {
+      ring_storage_ = std::make_unique<BoundedRing<Span>>(capacity_);
+      ring_.store(ring_storage_.get(), std::memory_order_release);
+    });
+  }
+  enabled_.store(enabled, std::memory_order_release);
+}
 
 SpanTracer& SpanTracer::global() {
   static SpanTracer instance;
@@ -43,7 +54,9 @@ std::uint32_t SpanTracer::this_thread_id() {
 void SpanTracer::record(std::string_view name, std::uint32_t thread,
                         std::uint32_t depth, std::uint64_t start_ns,
                         std::uint64_t end_ns) {
-  ring_.record([&](Span& span) {
+  BoundedRing<Span>* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
+  ring->record([&](Span& span) {
     const std::size_t copy = std::min(name.size(), kMaxNameLength);
     std::memcpy(span.name, name.data(), copy);
     span.name[copy] = '\0';
@@ -55,7 +68,9 @@ void SpanTracer::record(std::string_view name, std::uint32_t thread,
 }
 
 std::vector<SpanTracer::Span> SpanTracer::snapshot() const {
-  std::vector<Span> spans = ring_.snapshot();
+  const BoundedRing<Span>* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return {};
+  std::vector<Span> spans = ring->snapshot();
   std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
     return a.end_ns > b.end_ns;  // parent before its same-start children
@@ -64,7 +79,7 @@ std::vector<SpanTracer::Span> SpanTracer::snapshot() const {
 }
 
 ScopeSpan::ScopeSpan(SpanTracer& tracer, std::string_view name) {
-  if (!tracer.enabled()) return;  // disabled: one relaxed load, nothing else
+  if (!tracer.enabled()) return;  // disabled: one atomic load, nothing else
   tracer_ = &tracer;
   name_ = name;
   depth_ = t_depth++;

@@ -13,15 +13,19 @@
 // relaxed fetch_add to claim a slot, a plain write, and one release store
 // to publish it.  When the ring is full further spans are counted as
 // dropped rather than blocking or reallocating — tracing must never
-// disturb the workload it observes.  Two off switches apply: compile-time
-// (`MG_OBS_ENABLED=0` turns MG_OBS_SPAN into nothing, like the metric
-// macros) and runtime (`SpanTracer::set_enabled(false)`, the default,
-// reduces a ScopeSpan to a single relaxed atomic load).
+// disturb the workload it observes.  The ring is built when tracing is
+// first enabled, so a process that never traces allocates no slots.  Two
+// off switches apply: compile-time (`MG_OBS_ENABLED=0` turns MG_OBS_SPAN
+// into nothing, like the metric macros) and runtime
+// (`SpanTracer::set_enabled(false)`, the default, reduces a ScopeSpan to a
+// single atomic load).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -53,11 +57,11 @@ class SpanTracer {
   /// default: tracing is opt-in per run, unlike the always-on counters.
   static SpanTracer& global();
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  /// The first `set_enabled(true)` builds the ring and publishes it before
+  /// the flag, so whoever sees the tracer enabled also sees its ring.
+  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_acquire);
   }
 
   /// Monotonic now in the tracer's own timebase.
@@ -67,18 +71,25 @@ class SpanTracer {
   [[nodiscard]] static std::uint32_t this_thread_id();
 
   /// Publishes one completed span; lock-free, drops when the ring is full.
-  /// Safe to call concurrently with snapshot().
+  /// A tracer never enabled has no ring and records nothing.  Safe to call
+  /// concurrently with snapshot().
   void record(std::string_view name, std::uint32_t thread,
               std::uint32_t depth, std::uint64_t start_ns,
               std::uint64_t end_ns);
 
-  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Spans accepted into the ring so far (<= capacity).
-  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
+  [[nodiscard]] std::uint64_t recorded() const {
+    const BoundedRing<Span>* ring = ring_.load(std::memory_order_acquire);
+    return ring != nullptr ? ring->recorded() : 0;
+  }
 
   /// Spans rejected because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
+  [[nodiscard]] std::uint64_t dropped() const {
+    const BoundedRing<Span>* ring = ring_.load(std::memory_order_acquire);
+    return ring != nullptr ? ring->dropped() : 0;
+  }
 
   /// Copies every published span, sorted by (start, end descending) so a
   /// parent precedes its children.  Spans still being written by a
@@ -87,13 +98,20 @@ class SpanTracer {
 
   /// Forgets every span.  Not safe concurrently with record() — quiesce
   /// (or disable) the tracer first.
-  void clear() { ring_.clear(); }
+  void clear() {
+    BoundedRing<Span>* ring = ring_.load(std::memory_order_acquire);
+    if (ring != nullptr) ring->clear();
+  }
 
  private:
   static constexpr std::size_t kDefaultCapacity = 1 << 14;  // 16384 spans
 
+  std::size_t capacity_;
   std::atomic<bool> enabled_{false};
-  BoundedRing<Span> ring_;
+  std::once_flag ring_built_;
+  std::unique_ptr<BoundedRing<Span>> ring_storage_;
+  /// ring_storage_ once built, published with release ordering.
+  std::atomic<BoundedRing<Span>*> ring_{nullptr};
   std::uint64_t epoch_ns_;  ///< steady-clock origin
 };
 

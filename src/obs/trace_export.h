@@ -42,7 +42,9 @@ struct FlowEvent {
   std::uint32_t kind = 0;    ///< producer-defined kind code
   std::uint64_t time = 0;    ///< producer timebase (rounds for mg::dist)
   std::uint64_t node = 0;    ///< sending processor
-  std::uint64_t message = 0; ///< payload (data), requested id (grant)
+  /// Payload (data), announced offer (digest; 2^32 - 1 for none),
+  /// requested id (grant).
+  std::uint64_t message = 0;
   std::uint64_t fanout = 0;  ///< receiver count
 };
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "dist/actor.h"
 #include "dist/runtime.h"
 #include "fault/fault.h"
+#include "gossip/instance.h"
 #include "gossip/recovery.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -335,12 +337,28 @@ std::vector<std::uint64_t> digest_words(
 
 Envelope digest_from(graph::Vertex sender,
                      const std::vector<std::uint64_t>& words,
-                     std::uint64_t trace) {
+                     std::uint64_t trace,
+                     model::Message offer = kNoOffer) {
   Envelope e;
   e.kind = Envelope::Kind::kDigest;
   e.sender = sender;
+  e.message = offer;
   e.trace = trace;
   e.digest = words;
+  return e;
+}
+
+Envelope grant_from(graph::Vertex sender, model::Message request) {
+  Envelope e;
+  e.kind = Envelope::Kind::kGrant;
+  e.sender = sender;
+  e.message = request;
+  return e;
+}
+
+Envelope data_of(model::Message message) {
+  Envelope e;
+  e.message = message;
   return e;
 }
 
@@ -421,6 +439,165 @@ TEST(DistRecoveryProperty, DigestOfferingNothingLeavesTheActorQuiescent) {
   EXPECT_FALSE(out.control.has_value());
   EXPECT_TRUE(out.control_to.empty());
   EXPECT_TRUE(actor.quiescent());
+}
+
+TEST(DistRecoveryProperty, GrantPrefersAnAnnouncedOfferItLacks) {
+  // Sender 11 offers three messages and announces nothing; sender 3 offers
+  // two and announces 2, which the actor lacks: 3 wins, and the grant
+  // requests the announced message, not the lowest offered.
+  const auto large = digest_words({64, 100, 129});
+  const auto small = digest_words({1, 2});
+  {
+    ProcessorActor actor = grant_actor();
+    const Outbox out = actor.step_grant(
+        {digest_from(11, large, 1), digest_from(3, small, 2, 2)});
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{3}, model::Message{2}));
+    EXPECT_EQ(out.control_cause, 2u);
+  }
+  // An announcement the actor already holds (its own message 5), one the
+  // announcing digest does not hold, and no announcement all fall back to
+  // the largest offer and its lowest offered message.
+  for (const model::Message offer : {model::Message{5}, model::Message{50},
+                                     kNoOffer}) {
+    SCOPED_TRACE("sender 3 announces " + std::to_string(offer));
+    ProcessorActor actor = grant_actor();
+    const Outbox out = actor.step_grant(
+        {digest_from(11, large, 1), digest_from(3, small, 2, offer)});
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{11}, model::Message{64}));
+    EXPECT_EQ(out.control_cause, 1u);
+  }
+  // Among announcing senders the largest offer wins, then the lowest id.
+  {
+    ProcessorActor actor = grant_actor();
+    const Outbox out = actor.step_grant(
+        {digest_from(11, large, 1, 100), digest_from(3, small, 2, 2)});
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{11}, model::Message{100}));
+  }
+  {
+    ProcessorActor actor = grant_actor();
+    const auto high = digest_words({10, 20});
+    const auto low = digest_words({70, 129});
+    const Outbox out = actor.step_grant(
+        {digest_from(9, high, 1, 20), digest_from(4, low, 2, 129)});
+    EXPECT_EQ(only_grant(out),
+              std::make_pair(graph::Vertex{4}, model::Message{129}));
+  }
+}
+
+/// Actor 5 of 130 with neighbors 1..4, holding 5, 10, 20, 30 and 100.
+ProcessorActor serving_actor() {
+  ProcessorActor actor(5, 130, 5, {1, 2, 3, 4},
+                       std::make_unique<TimetableRule>(5));
+  actor.learn({data_of(10), data_of(20), data_of(30), data_of(100)});
+  return actor;
+}
+
+TEST(DistRecoveryProperty, DataServesWhatMostGrantersLack) {
+  // Each granter requests the lowest message the sender offers it (10, 20
+  // and 30), but all three digests lack 100: one multicast of 100 serves
+  // all three, whatever order the grants arrive in.
+  const auto g1 = digest_words({1, 5, 20, 30});
+  const auto g2 = digest_words({2, 5, 10, 30});
+  const auto g3 = digest_words({3, 5, 10, 20});
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "grants reversed" : "grants in order");
+    ProcessorActor actor = serving_actor();
+    (void)actor.step_grant({digest_from(2, g2, 1), digest_from(3, g3, 2),
+                            digest_from(1, g1, 3)});
+    std::vector<Envelope> grants = {grant_from(1, 10), grant_from(2, 20),
+                                    grant_from(3, 30)};
+    if (reversed) std::reverse(grants.begin(), grants.end());
+    const Outbox out = actor.step_data(grants);
+    ASSERT_TRUE(out.data.has_value());
+    EXPECT_EQ(out.data->sender, 5u);
+    EXPECT_EQ(out.data->message, 100u);
+    EXPECT_EQ(out.data->receivers, (std::vector<graph::Vertex>{1, 2, 3}));
+  }
+  // A message only some granters lack goes to exactly those granters.
+  ProcessorActor actor = serving_actor();
+  const auto h1 = digest_words({1, 5, 10, 20, 30});
+  const auto h2 = digest_words({2, 5, 20, 30, 100});
+  const auto h3 = digest_words({3, 5, 20, 30});
+  (void)actor.step_grant({digest_from(1, h1, 1), digest_from(2, h2, 2),
+                          digest_from(3, h3, 3)});
+  const Outbox out = actor.step_data(
+      {grant_from(1, 100), grant_from(2, 10), grant_from(3, 10)});
+  ASSERT_TRUE(out.data.has_value());
+  EXPECT_EQ(out.data->message, 10u);
+  EXPECT_EQ(out.data->receivers, (std::vector<graph::Vertex>{2, 3}));
+}
+
+TEST(DistRecoveryProperty, DigestAnnouncesWhatMostNeighborsLackedLessServed) {
+  ProcessorActor actor = serving_actor();
+  std::vector<std::uint64_t> row(3, 0);
+  // Nothing is announced before the first data step.
+  ASSERT_TRUE(actor.step_digest(row).control.has_value());
+  EXPECT_EQ(actor.step_digest(row).control->message, kNoOffer);
+  // Neighbors lack 5 three times, 10 and 20 twice each and 30 and 100
+  // once each.  Granters 1 and 2 are served 5, which leaves 10 and 20 the
+  // most lacked: the lower, 10, is announced.
+  const auto n1 = digest_words({1, 20, 30, 100});
+  const auto n2 = digest_words({2, 30, 100});
+  const auto n3 = digest_words({3, 10, 20, 30});
+  const auto n4 = digest_words({4, 5, 10, 20, 100});
+  (void)actor.step_grant({digest_from(1, n1, 1), digest_from(2, n2, 2),
+                          digest_from(3, n3, 3), digest_from(4, n4, 4)});
+  const Outbox served =
+      actor.step_data({grant_from(1, 5), grant_from(2, 5)});
+  ASSERT_TRUE(served.data.has_value());
+  EXPECT_EQ(served.data->message, 5u);
+  EXPECT_EQ(served.data->receivers, (std::vector<graph::Vertex>{1, 2}));
+  EXPECT_EQ(actor.step_digest(row).control->message, 10u);
+  // A cycle in which every neighbor digest shows nothing lacking plans no
+  // offer.
+  const auto all = digest_words({1, 2, 3, 4, 5, 10, 20, 30, 100});
+  (void)actor.step_grant({digest_from(1, all, 5), digest_from(4, all, 6)});
+  EXPECT_FALSE(actor.step_data({}).data.has_value());
+  EXPECT_EQ(actor.step_digest(row).control->message, kNoOffer);
+}
+
+TEST(DistRecoveryProperty, RecoveryStaysNearTheCentralPlanner) {
+  // The online rule on seeded geometric networks under 1% drops and a
+  // crash of the tree root at mid-horizon.  The decentralized repair needs
+  // at most 1.25x the rounds the central planner needs on the same
+  // end-of-main-phase holds, and at least one round per message any actor
+  // gained (one receive per round).
+  constexpr graph::Vertex kN = 64;
+  const double nd = kN;
+  const double radius = std::sqrt(2.0 * std::log(nd) / (3.14159265358979 * nd));
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(0x9ea7ULL + seed);
+    const graph::Graph g = graph::random_geometric(kN, radius, rng);
+    const gossip::Instance instance = gossip::Instance::from_network(g);
+    const std::size_t horizon = kN + instance.radius();
+    fault::FaultPlan plan;
+    plan.drop_rate(0.01).seed(0x51deULL + seed).crash(instance.tree().root(),
+                                                       horizon / 2);
+    RuntimeOptions options;
+    options.faults = &plan;
+    ActorRuntime runtime(instance, g, options);
+    runtime.use_online_rule();
+    const RunReport run = runtime.run(horizon);
+    ASSERT_TRUE(run.recovered);
+
+    const std::size_t central =
+        gossip::partial_completion_schedule(g, run.main_holds,
+                                            plan.alive_at(horizon, kN))
+            .round_count();
+    EXPECT_LE(4 * run.recovery_rounds, 5 * central)
+        << run.recovery_rounds << " recovery rounds, central " << central;
+    std::size_t most_gained = 0;
+    for (graph::Vertex v = 0; v < kN; ++v) {
+      most_gained = std::max(most_gained, run.final_holds.count(v) -
+                                              run.main_holds.count(v));
+    }
+    EXPECT_GE(run.recovery_rounds, most_gained);
+    EXPECT_GT(most_gained, 0u);
+  }
 }
 
 TEST(DistRecoveryProperty, DigestSnapshotIsACopyOfTheHoldWords) {

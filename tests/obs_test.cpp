@@ -267,6 +267,33 @@ TEST(Span, DisabledTracerRecordsNothing) {
   EXPECT_TRUE(tracer.snapshot().empty());
 }
 
+TEST(Span, RingIsBuiltOnFirstEnable) {
+  // Until tracing is first enabled there is no ring: the tracer reads as
+  // an empty one of its full capacity, and a direct record is not kept.
+  SpanTracer tracer(3);
+  EXPECT_EQ(tracer.capacity(), 3u);
+  tracer.record("early", 1, 0, 0, 1);
+  EXPECT_EQ(tracer.recorded(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+  tracer.clear();
+  EXPECT_EQ(tracer.recorded(), 0u);
+  EXPECT_EQ(SpanTracer(0).capacity(), 1u);
+  // Enabled, disabled and enabled again: one ring keeps every span.
+  tracer.set_enabled(true);
+  { ScopeSpan s(tracer, "first"); }
+  tracer.set_enabled(false);
+  { ScopeSpan s(tracer, "ghost"); }
+  tracer.set_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    ScopeSpan s(tracer, "again");
+  }
+  EXPECT_EQ(tracer.capacity(), 3u);
+  EXPECT_EQ(tracer.recorded(), 3u);
+  EXPECT_EQ(tracer.dropped(), 1u);
+  EXPECT_STREQ(tracer.snapshot().front().name, "first");
+}
+
 TEST(Span, NestedSpansAreBracketedAndMonotonic) {
   SpanTracer tracer(16);
   tracer.set_enabled(true);

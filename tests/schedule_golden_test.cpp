@@ -570,14 +570,16 @@ const std::vector<std::pair<std::string, std::uint64_t>> kGolden = {
     {"partial/high_degree", 0x1017c6b2e902f7d7ULL},
     {"solve_with_recovery/repairs", 0x8a0142779881afd4ULL},
     {"dist/emergent", 0xdbcd599b98c47ce9ULL},
-    {"dist/repair", 0xb943204199875013ULL},
-    {"dist/counts", 0xe105130df3638df3ULL},
-    // Generated on the commit before the dist capture phases posted
-    // straight into the bus, with `MG_GOLDEN_PRINT=1`.
-    {"dist/causal", 0x9673a7bb96f23449ULL},
+    // The recovery digests (repair, counts, causal, delayed repair and
+    // counts) were regenerated with `MG_GOLDEN_PRINT=1` when digests began
+    // announcing an offer and senders began serving what most granters
+    // lack.
+    {"dist/repair", 0xa6b2a596f21b0807ULL},
+    {"dist/counts", 0x5446048ddf40569cULL},
+    {"dist/causal", 0x108e291b0595a1cbULL},
     {"dist/delayed/emergent", 0xe1ce0505b1623c7dULL},
-    {"dist/delayed/repair", 0xd804d27e5a7346a1ULL},
-    {"dist/delayed/counts", 0x1f3b2146d753d867ULL},
+    {"dist/delayed/repair", 0x3d7d33b3018bc262ULL},
+    {"dist/delayed/counts", 0x5cf3b46c370d8732ULL},
     // Generated on the commit before the eccentricity sweep ran 64 sources
     // per BFS, with `MG_GOLDEN_PRINT=1`.
     {"center/solve_families", 0xfb782ac2f54a15c7ULL},
